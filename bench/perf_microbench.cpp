@@ -1,29 +1,25 @@
-// Performance microbenchmarks (the venue's HPC angle): tensor kernels,
-// attention, feature extraction, model inference, end-to-end slice
-// latency, thread-scaling of the parallel substrate, Mode-B volume
-// throughput (serial vs. parallel vs. feature-cached), and serving-layer
-// throughput (blocking submit vs. micro-batched SegmentService). The
-// main() also emits out/BENCH_volume.json, out/BENCH_serve.json and
-// out/BENCH_obs.json — one machine-readable record per run so successive
-// PRs accumulate a perf trajectory. (out/BENCH_tiff.json moved to
-// `tools/tiff_corpus --bench`, which measures against real files.)
+// Performance microbenchmarks (the venue's HPC angle): per-backend fp32
+// and int8 GEMM, attention, feature extraction, model inference,
+// end-to-end slice latency, thread-scaling of the parallel substrate,
+// Mode-B volume throughput (serial vs. parallel vs. feature-cached),
+// serving-layer throughput (blocking submit vs. micro-batched
+// SegmentService), span overhead, cache-lock contention and TIFF decode.
+// Every measurement is a Google Benchmark family and the binary writes no
+// files of its own: machine-readable results come from the library's
+// flags (--benchmark_format=json, --benchmark_out=<file>). End-to-end
+// latency/throughput records come from zbench/ (python3 zbench/run.py).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
 #include <future>
-#include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp_common.hpp"
 #include "zenesis/cache/sharded_lru.hpp"
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/fibsem/synth.hpp"
-#include "zenesis/io/report.hpp"
 #include "zenesis/io/tiff.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/models/auto_mask.hpp"
@@ -147,14 +143,16 @@ void register_kernel_benchmarks() {
             BM_Gemm(s, backend, op);
           })
           ->Arg(256)
-          ->Arg(512);
+          ->Arg(512)
+          ->Arg(1024);
     }
     if (tensor::backend_supports_int8(backend)) {
       benchmark::RegisterBenchmark(
           ("BM_GemmInt8/" + backend).c_str(),
           [backend](benchmark::State& s) { BM_GemmInt8(s, backend); })
           ->Arg(256)
-          ->Arg(512);
+          ->Arg(512)
+          ->Arg(1024);
     }
     benchmark::RegisterBenchmark(
         ("BM_Attention/" + backend).c_str(),
@@ -553,430 +551,6 @@ void BM_TiffStream(benchmark::State& state) {
 }
 BENCHMARK(BM_TiffStream)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
-/// Times one segment_volume pass in seconds (best of `reps`).
-double time_volume_pass(const core::ZenesisPipeline& pipe,
-                        const image::VolumeU16& volume, int reps) {
-  const core::VolumeRequest request = core::VolumeRequest::view(
-      volume, "bright needle-like crystalline catalyst");
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(pipe.segment_volume(request));
-    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count());
-  }
-  return best;
-}
-
-/// Standalone serial-vs-parallel-vs-cached volume measurement, persisted
-/// as out/BENCH_volume.json so future PRs have a perf trajectory to
-/// compare against. Runs regardless of --benchmark_filter.
-void write_volume_record() {
-  const fibsem::SyntheticVolume vol = bench_volume();
-  const auto hw = static_cast<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  constexpr int kReps = 3;
-
-  const core::ZenesisPipeline serial(volume_config(1, false));
-  const double t_serial = time_volume_pass(serial, vol.volume, kReps);
-
-  const core::ZenesisPipeline parallel(volume_config(hw, false));
-  const double t_parallel = time_volume_pass(parallel, vol.volume, kReps);
-
-  const core::ZenesisPipeline cached(volume_config(hw, true));
-  (void)time_volume_pass(cached, vol.volume, 1);  // cold pass fills the cache
-  const double t_cached = time_volume_pass(cached, vol.volume, kReps);
-  const models::FeatureCacheStats cache_stats = cached.cache_stats();
-
-  // Full memoization: default config (mask cache on), warm second pass.
-  core::PipelineConfig mask_cfg;
-  mask_cfg.volume_threads = hw;
-  const core::ZenesisPipeline memoized(mask_cfg);
-  (void)time_volume_pass(memoized, vol.volume, 1);  // cold pass fills caches
-  const double t_mask_warm = time_volume_pass(memoized, vol.volume, kReps);
-
-  const double slices = static_cast<double>(vol.depth());
-  io::JsonObject rec;
-  rec.set("bench", "volume_mode_b");
-  rec.set("width", static_cast<std::int64_t>(128));
-  rec.set("height", static_cast<std::int64_t>(128));
-  rec.set("depth", vol.depth());
-  rec.set("hardware_threads", static_cast<std::int64_t>(hw));
-  rec.set("serial_slices_per_sec", slices / t_serial);
-  rec.set("parallel_slices_per_sec", slices / t_parallel);
-  rec.set("parallel_speedup", t_serial / t_parallel);
-  rec.set("cached_warm_slices_per_sec", slices / t_cached);
-  rec.set("cached_warm_speedup", t_serial / t_cached);
-  rec.set("cache_hits", static_cast<std::int64_t>(cache_stats.hits));
-  rec.set("cache_misses", static_cast<std::int64_t>(cache_stats.misses));
-  rec.set("cache_hit_rate", cache_stats.hit_rate());
-  rec.set("mask_warm_slices_per_sec", slices / t_mask_warm);
-  rec.set("mask_warm_speedup", t_serial / t_mask_warm);
-
-  bench::ExperimentConfig out_cfg;
-  const std::string out = bench::ensure_out_dir(out_cfg);
-  const std::string path = out + "/BENCH_volume.json";
-  rec.write(path);
-  std::printf("\n%s\n", rec.to_string(2).c_str());
-  std::printf("volume perf record written to %s\n", path.c_str());
-}
-
-/// Standalone serial-submit vs micro-batched-service measurement on
-/// cache-hot repeated-slice traffic, persisted as out/BENCH_serve.json.
-/// Runs regardless of --benchmark_filter.
-void write_serve_record() {
-  const std::vector<image::AnyImage> traffic = serve_traffic();
-  constexpr int kReps = 3;
-
-  const auto time_pass = [&](const std::function<void()>& pass) {
-    double best = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      pass();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
-  };
-
-  const core::ZenesisPipeline blocking(volume_config(1, false));
-  const double t_serial = time_pass([&] {
-    for (const auto& img : traffic) {
-      benchmark::DoNotOptimize(blocking.segment(img, kServePrompt));
-    }
-  });
-
-  serve::ServiceConfig scfg;
-  scfg.queue_capacity = kServeRequests * 2;
-  scfg.max_batch = 8;
-  serve::SegmentService service(scfg);
-  const double t_serve = time_pass([&] {
-    std::vector<std::future<serve::Response>> futures;
-    futures.reserve(traffic.size());
-    for (const auto& img : traffic) {
-      futures.push_back(
-          service.submit(serve::Request::slice(img, kServePrompt)));
-    }
-    for (auto& f : futures) benchmark::DoNotOptimize(f.get());
-  });
-  const serve::ServiceStats stats = service.stats();
-
-  const double requests = static_cast<double>(kServeRequests);
-  io::JsonObject rec;
-  rec.set("bench", "serve_throughput");
-  rec.set("requests", static_cast<std::int64_t>(kServeRequests));
-  rec.set("distinct_slices", static_cast<std::int64_t>(kServeDistinct));
-  rec.set("serial_requests_per_sec", requests / t_serial);
-  rec.set("serve_requests_per_sec", requests / t_serve);
-  rec.set("serve_speedup", t_serial / t_serve);
-  rec.set("mean_batch_size", stats.batch_size.mean());
-  rec.set("queue_us_p95", stats.queue_us.percentile(95.0));
-  rec.set("decode_us_mean", stats.decode_us.mean());
-  rec.set("decode_us_p95", stats.decode_us.percentile(95.0));
-  rec.set("total_us_p95", stats.total_us.percentile(95.0));
-  rec.set("cache_hit_rate", service.pipeline().cache_stats().hit_rate());
-  rec.set("kernel_backend", stats.kernel_backend);
-
-  bench::ExperimentConfig out_cfg;
-  const std::string out = bench::ensure_out_dir(out_cfg);
-  const std::string path = out + "/BENCH_serve.json";
-  rec.write(path);
-  std::printf("\n%s\n", rec.to_string(2).c_str());
-  std::printf("serve perf record written to %s\n", path.c_str());
-}
-
-/// Tracing-overhead record for the observability acceptance criterion,
-/// persisted as out/BENCH_obs.json. The headline number —
-/// tracing_disabled_regression_pct, which must stay < 2 — is computed
-/// from the deterministic quantities: the tight-loop per-span cost with
-/// tracing off (a relaxed load + branch) times the spans one serve
-/// request emits, relative to that request's wall time. The end-to-end
-/// off-vs-on serve delta is also measured and recorded, but on small or
-/// loaded machines it is noise-dominated (single-digit req/sec), so it
-/// is reference data, not the criterion. Runs regardless of
-/// --benchmark_filter.
-void write_obs_record() {
-  const bool was_enabled = obs::enabled();
-  const std::vector<image::AnyImage> traffic = serve_traffic();
-  constexpr int kReps = 3;
-
-  const auto time_serve_pass = [&] {
-    serve::ServiceConfig scfg;
-    scfg.queue_capacity = kServeRequests * 2;
-    scfg.max_batch = 8;
-    serve::SegmentService service(scfg);
-    double best = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<std::future<serve::Response>> futures;
-      futures.reserve(traffic.size());
-      for (const auto& img : traffic) {
-        futures.push_back(
-            service.submit(serve::Request::slice(img, kServePrompt)));
-      }
-      for (auto& f : futures) benchmark::DoNotOptimize(f.get());
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
-  };
-
-  // Raw per-span cost, both modes.
-  const auto time_span_ns = [](int iters) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      obs::Span span("bench.obs_record");
-      benchmark::DoNotOptimize(&span);
-    }
-    const std::chrono::duration<double, std::nano> dt =
-        std::chrono::steady_clock::now() - t0;
-    return dt.count() / iters;
-  };
-  obs::set_enabled(false);
-  const double span_off_ns = time_span_ns(1 << 20);
-  obs::set_enabled(true);
-  const double span_on_ns = time_span_ns(1 << 18);
-
-  obs::set_enabled(false);
-  const double t_off = time_serve_pass();
-
-  obs::set_enabled(true);
-  obs::TraceCollector::global().clear();
-  const double t_on = time_serve_pass();
-  std::uint64_t spans_recorded = obs::TraceCollector::global().overwritten();
-  for (const auto& [stage, st] : obs::TraceCollector::global().aggregate()) {
-    spans_recorded += st.count;
-  }
-  obs::set_enabled(was_enabled);
-  obs::TraceCollector::global().clear();
-
-  const double requests = static_cast<double>(kServeRequests);
-  // The traced pass emits this many spans per request (submit, queue,
-  // batch share, readiness, encode share, decode, pipeline internals…).
-  // kReps passes ran while tracing was on; spans_recorded covers all of
-  // them, so normalize by kReps too.
-  const double spans_per_request =
-      static_cast<double>(spans_recorded) / (requests * kReps);
-  const double request_ns = t_off / requests * 1e9;
-
-  io::JsonObject rec;
-  rec.set("bench", "obs_trace_overhead");
-  rec.set("requests", static_cast<std::int64_t>(kServeRequests));
-  rec.set("span_disabled_ns", span_off_ns);
-  rec.set("span_enabled_ns", span_on_ns);
-  rec.set("spans_per_request", spans_per_request);
-  // Acceptance: < 2. Cost the disabled instrumentation adds to one serve
-  // request — spans_per_request dormant Span constructions — as a
-  // percentage of the request's measured wall time.
-  rec.set("tracing_disabled_regression_pct",
-          spans_per_request * span_off_ns / request_ns * 100.0);
-  rec.set("tracing_enabled_overhead_pct",
-          spans_per_request * span_on_ns / request_ns * 100.0);
-  // Reference: end-to-end measurement (noise-dominated on small boxes).
-  rec.set("serve_req_per_sec_tracing_off", requests / t_off);
-  rec.set("serve_req_per_sec_tracing_on", requests / t_on);
-  rec.set("serve_measured_delta_pct", (t_on - t_off) / t_off * 100.0);
-  rec.set("spans_recorded_enabled_passes",
-          static_cast<std::int64_t>(spans_recorded));
-
-  bench::ExperimentConfig out_cfg;
-  const std::string out = bench::ensure_out_dir(out_cfg);
-  const std::string path = out + "/BENCH_obs.json";
-  rec.write(path);
-  std::printf("\n%s\n", rec.to_string(2).c_str());
-  std::printf("obs perf record written to %s\n", path.c_str());
-}
-
-/// Standalone single-mutex vs sharded cache-contention measurement,
-/// persisted as out/BENCH_cache.json so the lock-striping win has a
-/// tracked trajectory. For each thread count, both topologies run the
-/// identical mixed get/put workload (best of kReps); the headline
-/// `speedup_16t` is sharded ops/sec over single-shard ops/sec at 16
-/// threads. Runs regardless of --benchmark_filter.
-void write_cache_record() {
-  constexpr int kReps = 3;
-  constexpr std::size_t kShardedShards = 64;
-  const std::size_t thread_counts[] = {1, 4, 16, 64};
-
-  const auto ops_per_sec = [&](std::size_t shards, std::size_t threads) {
-    const auto cache = make_contention_cache(shards);
-    double best = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      contention_pass(*cache, threads);
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return static_cast<double>(threads) * kContentionOpsPerThread / best;
-  };
-
-  io::JsonObject rec;
-  rec.set("bench", "cache_contention");
-  rec.set("key_space", static_cast<std::int64_t>(kContentionKeySpace));
-  rec.set("ops_per_thread", static_cast<std::int64_t>(kContentionOpsPerThread));
-  rec.set("sharded_shards", static_cast<std::int64_t>(kShardedShards));
-  rec.set("hardware_threads",
-          static_cast<std::int64_t>(
-              std::max(1u, std::thread::hardware_concurrency())));
-  double speedup_16t = 0.0;
-  for (const std::size_t threads : thread_counts) {
-    const double single = ops_per_sec(1, threads);
-    const double sharded = ops_per_sec(kShardedShards, threads);
-    const std::string suffix = std::to_string(threads) + "t";
-    rec.set("single_mutex_ops_per_sec_" + suffix, single);
-    rec.set("sharded_ops_per_sec_" + suffix, sharded);
-    rec.set("speedup_" + suffix, sharded / single);
-    if (threads == 16) speedup_16t = sharded / single;
-  }
-  rec.set("speedup_16t", speedup_16t);
-
-  bench::ExperimentConfig out_cfg;
-  const std::string out = bench::ensure_out_dir(out_cfg);
-  const std::string path = out + "/BENCH_cache.json";
-  rec.write(path);
-  std::printf("\n%s\n", rec.to_string(2).c_str());
-  std::printf("cache perf record written to %s\n", path.c_str());
-}
-
-// out/BENCH_tiff.json is owned by `tools/tiff_corpus --bench` now: the
-// per-codec naive-vs-streaming comparison needs real files, byte
-// sources and RSS probes, which live more naturally next to the corpus
-// tool than inside this in-memory microbenchmark.
-
-/// Standalone per-backend GEMM measurement, persisted as
-/// out/BENCH_gemm.json: GFLOP/s for matmul / matmul_nt / linear at 256,
-/// 512 and 1024 under every available backend, plus the speedup of each
-/// fast backend over the scalar reference, plus int8 GOP/s of the
-/// dynamic-quantization matmul_nt path and its ratio over the same
-/// backend's fp32 matmul_nt (the quantization acceptance headline).
-/// Runs regardless of --benchmark_filter.
-void write_gemm_record() {
-  const std::vector<std::int64_t> sizes = {256, 512, 1024};
-  const std::vector<std::string> ops = {"matmul", "matmul_nt", "linear"};
-  constexpr int kReps = 2;
-
-  const auto gflops = [&](const std::string& op, std::int64_t n) {
-    const tensor::Tensor a = tensor::xavier_uniform(n, n, 1, 1);
-    const tensor::Tensor b = tensor::xavier_uniform(n, n, 1, 2);
-    const tensor::Tensor bias = tensor::zeros(n);
-    const auto run = [&] {
-      if (op == "matmul") {
-        benchmark::DoNotOptimize(tensor::matmul(a, b));
-      } else if (op == "matmul_nt") {
-        benchmark::DoNotOptimize(tensor::matmul_nt(a, b));
-      } else {
-        benchmark::DoNotOptimize(tensor::linear(a, b, bias));
-      }
-    };
-    run();  // warm-up
-    double best = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      run();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-           static_cast<double>(n) / best / 1e9;
-  };
-
-  // Int8 GOP/s of the full dynamic path (activation quantize + int8
-  // GEMM + requantize) against a pre-quantized panel — the exact shape
-  // ops::linear_quantized runs in the encoder.
-  const auto gops_int8 = [&](std::int64_t n) {
-    const tensor::Tensor a = tensor::xavier_uniform(n, n, 1, 1);
-    const tensor::Tensor b = tensor::xavier_uniform(n, n, 1, 2);
-    const tensor::quant::QuantizedTensor qb = tensor::quant::quantize_rows(b);
-    const auto run = [&] {
-      benchmark::DoNotOptimize(tensor::matmul_nt_quantized(a, qb));
-    };
-    run();  // warm-up
-    double best = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      run();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-           static_cast<double>(n) / best / 1e9;
-  };
-
-  const std::string active = tensor::backend_name();
-  io::JsonObject rec;
-  rec.set("bench", "gemm_kernels");
-  rec.set("cpu_features", tensor::cpu_feature_string());
-  rec.set("hardware_threads",
-          static_cast<std::int64_t>(
-              std::max(1u, std::thread::hardware_concurrency())));
-  rec.set("default_backend", active);
-
-  std::map<std::string, double> results;  // "<backend>_<op>_<n>" → GFLOP/s
-  std::string backends_csv;
-  for (const auto& backend : tensor::available_backends()) {
-    if (!tensor::set_backend(backend)) continue;
-    if (!backends_csv.empty()) backends_csv += ",";
-    backends_csv += backend;
-    for (const auto& op : ops) {
-      for (const std::int64_t n : sizes) {
-        const std::string key =
-            backend + "_" + op + "_" + std::to_string(n);
-        const double g = gflops(op, n);
-        results[key] = g;
-        rec.set(key + "_gflops", g);
-      }
-    }
-    if (tensor::backend_supports_int8(backend)) {
-      for (const std::int64_t n : sizes) {
-        const std::string key =
-            backend + "_matmul_nt_i8_" + std::to_string(n);
-        const double g = gops_int8(n);
-        results[key] = g;
-        rec.set(key + "_gops", g);
-      }
-    }
-  }
-  tensor::set_backend(active);
-  rec.set("backends", backends_csv);
-
-  // Acceptance headline: fast-backend speedup over the scalar reference.
-  for (const auto& backend : tensor::available_backends()) {
-    if (backend == "scalar") continue;
-    for (const auto& op : ops) {
-      for (const std::int64_t n : sizes) {
-        const std::string suffix = op + "_" + std::to_string(n);
-        rec.set(backend + "_vs_scalar_" + suffix,
-                results[backend + "_" + suffix] /
-                    results["scalar_" + suffix]);
-      }
-    }
-  }
-
-  // Quantization headline: int8 matmul_nt over the SAME backend's fp32
-  // matmul_nt (acceptance: >= 1.8x on avx2 at every size).
-  for (const auto& backend : tensor::available_backends()) {
-    if (!tensor::backend_supports_int8(backend)) continue;
-    for (const std::int64_t n : sizes) {
-      const std::string sz = std::to_string(n);
-      rec.set(backend + "_int8_vs_fp32_matmul_nt_" + sz,
-              results[backend + "_matmul_nt_i8_" + sz] /
-                  results[backend + "_matmul_nt_" + sz]);
-    }
-  }
-
-  bench::ExperimentConfig out_cfg;
-  const std::string out = bench::ensure_out_dir(out_cfg);
-  const std::string path = out + "/BENCH_gemm.json";
-  rec.write(path);
-  std::printf("\n%s\n", rec.to_string(2).c_str());
-  std::printf("gemm perf record written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -985,10 +559,5 @@ int main(int argc, char** argv) {
   register_kernel_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_gemm_record();
-  write_volume_record();
-  write_serve_record();
-  write_obs_record();
-  write_cache_record();
   return 0;
 }

@@ -18,7 +18,6 @@
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/eval/dashboard.hpp"
 #include "zenesis/hitl/rectify.hpp"
-#include "zenesis/io/tiff_error.hpp"
 
 namespace zenesis::core {
 
@@ -89,24 +88,6 @@ class Session {
   /// parallel (see PipelineConfig::volume_threads) with results identical
   /// to the serial path for every thread count and source kind.
   VolumeResult mode_b_segment_volume(const VolumeRequest& request) const;
-  /// Deprecated forwarder (materialized stack; wraps by reference).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::in_memory")]]
-  VolumeResult mode_b_segment_volume(const image::VolumeU16& volume,
-                                     const std::string& prompt) const;
-  /// Deprecated forwarder (on-demand slice feed).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::streamed")]]
-  VolumeResult mode_b_segment_volume(const VolumeSource& source,
-                                     const std::string& prompt) const;
-  /// Deprecated forwarder (TIFF file).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::from_file")]]
-  VolumeResult mode_b_segment_volume_file(
-      const std::string& tiff_path, const std::string& prompt,
-      const io::TiffReadLimits& limits = {}) const;
-  /// Streams a TIFF volume from disk with full ingestion control
-  /// (byte-source kind, read limits, prefetch — see io::TiffOpenOptions).
-  VolumeResult mode_b_segment_volume_file(const std::string& tiff_path,
-                                          const std::string& prompt,
-                                          const io::TiffOpenOptions& open) const;
   /// Batch over independent images (each gets its own SliceResult),
   /// scheduled like mode_b_segment_volume.
   std::vector<SliceResult> mode_b_segment_images(

@@ -128,11 +128,4 @@ class MmapByteSource final : public ByteSource {
   std::uint64_t size_ = 0;
 };
 
-/// Deprecated name for the file-backed source. The seek-mutex
-/// implementation it used to denote serialized concurrent decodes; the
-/// pread replacement is a drop-in.
-using FileByteSource
-    [[deprecated("use PreadByteSource (or TiffVolumeReader::open)")]] =
-        PreadByteSource;
-
 }  // namespace zenesis::io

@@ -745,8 +745,8 @@ image::Image<T> decode_typed(const ByteSource& src, const TiffPageInfo& info,
   return img;
 }
 
-std::vector<TiffPageInfo> parse_pages_impl(const ByteSource& source,
-                                           const TiffReadLimits& limits) {
+std::vector<TiffPageInfo> parse_pages(const ByteSource& source,
+                                      const TiffReadLimits& limits) {
   const Cursor c = open_cursor(source);
   std::uint64_t ifd_off = c.big ? c.u64(8) : c.u32(4);
   std::vector<TiffPageInfo> pages;
@@ -775,10 +775,10 @@ std::vector<TiffPageInfo> parse_pages_impl(const ByteSource& source,
   return pages;
 }
 
-image::AnyImage decode_page_impl(const ByteSource& source,
-                                 const TiffPageInfo& info,
-                                 const TiffReadLimits& limits,
-                                 std::int64_t page_index) {
+image::AnyImage decode_page(const ByteSource& source,
+                            const TiffPageInfo& info,
+                            const TiffReadLimits& limits,
+                            std::int64_t page_index) {
   if (info.decoded_bytes() > limits.max_decoded_bytes) {
     raise(TiffErrorKind::kLimitExceeded, "decoded page size exceeds limit", 0,
           0, page_index);
@@ -795,22 +795,6 @@ image::AnyImage decode_page_impl(const ByteSource& source,
 }
 
 }  // namespace
-
-namespace detail {
-
-std::vector<TiffPageInfo> parse_tiff_pages(const ByteSource& source,
-                                           const TiffReadLimits& limits) {
-  return parse_pages_impl(source, limits);
-}
-
-image::AnyImage decode_tiff_page(const ByteSource& source,
-                                 const TiffPageInfo& info,
-                                 const TiffReadLimits& limits,
-                                 std::int64_t page_index) {
-  return decode_page_impl(source, info, limits, page_index);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // TiffVolumeReader
@@ -845,25 +829,8 @@ TiffVolumeReader::TiffVolumeReader(std::shared_ptr<const ByteSource> source,
   if (!source_) {
     throw std::invalid_argument("TiffVolumeReader: null byte source");
   }
-  pages_ = parse_pages_impl(*source_, limits_);
+  pages_ = parse_pages(*source_, limits_);
 }
-
-TiffVolumeReader::TiffVolumeReader(const std::string& path,
-                                   TiffReadLimits limits)
-    : TiffVolumeReader(
-          open(path, TiffOpenOptions{TiffSourceKind::kAuto, limits, true})) {}
-
-TiffVolumeReader TiffVolumeReader::from_bytes(std::vector<std::uint8_t> bytes,
-                                              TiffReadLimits limits) {
-  return open(std::move(bytes),
-              TiffOpenOptions{TiffSourceKind::kMemory, limits, true});
-}
-
-TiffVolumeReader::TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                                   TiffReadLimits limits)
-    : TiffVolumeReader(std::move(source),
-                       TiffOpenOptions{TiffSourceKind::kMemory, limits, true},
-                       TiffSourceKind::kMemory) {}
 
 const TiffPageInfo& TiffVolumeReader::page_info(std::int64_t page) const {
   if (page < 0 || page >= pages()) {
@@ -893,7 +860,7 @@ void TiffVolumeReader::require_uniform_geometry() const {
 
 image::AnyImage TiffVolumeReader::read_page(std::int64_t page) const {
   obs::Span span("tiff.read_page", static_cast<std::uint64_t>(page));
-  return decode_page_impl(*source_, page_info(page), limits_, page);
+  return decode_page(*source_, page_info(page), limits_, page);
 }
 
 image::ImageU16 TiffVolumeReader::read_page_u16(std::int64_t page) const {

@@ -408,7 +408,6 @@ void Server::evloop_main() {
     conns_.emplace(conn->id, conn);
     stats_.connections_accepted += 1;
     stats_.connections_active += 1;
-    service_.note_connection_accepted();
   };
 
   const auto close_now = [&](const std::shared_ptr<Conn>& conn) {
@@ -421,7 +420,6 @@ void Server::evloop_main() {
     conns_.erase(conn->id);
     ::close(conn->fd);
     if (stats_.connections_active > 0) stats_.connections_active -= 1;
-    service_.note_connection_closed();
   };
 
   std::vector<pollfd> pfds;
@@ -572,7 +570,6 @@ void Server::evloop_main() {
       }
     }
     for (const auto& conn : lorised) {
-      service_.note_protocol_error();
       conn->has_partial = false;
       begin_error_close(conn, WireErrorKind::kTimeout,
                         "partial frame stalled past timeout");
@@ -614,7 +611,6 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn, conn->decoder.error_kind(),
                           conn->decoder.error_message());
         return;
@@ -632,7 +628,6 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn, WireErrorKind::kTruncated,
                           "connection ended mid-frame");
         return;
@@ -688,7 +683,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
         core::Error{core::ErrorCode::kInvalidArgument, "net.frame",
                     "server-direction frame type from client"});
     maybe_finish_close_locked(conn);
-    service_.note_protocol_error();
     return;
   }
   switch (type) {
@@ -704,7 +698,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn,
                           hello ? WireErrorKind::kBadState
                                 : WireErrorKind::kBadPayload,
@@ -784,7 +777,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
           core::Error{core::ErrorCode::kInvalidArgument, "net.frame",
                       "request before hello"});
       maybe_finish_close_locked(conn);
-      service_.note_protocol_error();
       return;
     }
     bad_rid = rid == 0;
@@ -807,7 +799,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
         parse_slice_request(frame, cfg_.limits);
     if (!parsed) {
       send_request_error("malformed slice request payload");
-      service_.note_protocol_error();
       return;
     }
     opts = parsed->options;
@@ -818,7 +809,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
         parse_volume_file_request(frame, cfg_.limits);
     if (!parsed) {
       send_request_error("malformed volume-file request payload");
-      service_.note_protocol_error();
       return;
     }
     opts = parsed->options;
@@ -841,50 +831,44 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
   sreq.cancel = nr->token;
   nr->req = std::move(sreq);
 
-  bool shed_noted = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    nr->tenant = conn->tenant;
-    // Admission ladder (see header comment): shutdown → global backlog →
-    // tenant quota → queue. Every rejection is a structured frame sent
-    // before the service ever sees the request.
-    if (stopping_) {
-      stats_.rejected_sent += 1;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kShuttingDown,
-                                            "net.admission"));
-      return;
-    }
-    TenantState& ts = tenant_state_locked(conn->tenant);
-    TenantCounters& tc = stats_.tenants[conn->tenant];
-    if (backlog_ >= cfg_.shed_backlog) {
-      stats_.shed_overloaded += 1;
-      stats_.rejected_sent += 1;
-      shed_noted = true;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kOverloaded,
-                                            "net.admission"));
-    } else if (ts.queue.size() >= ts.policy.max_queued) {
-      stats_.shed_tenant_quota += 1;
-      stats_.rejected_sent += 1;
-      tc.shed += 1;
-      shed_noted = true;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kTenantQuota,
-                                            "net.admission"));
-    } else {
-      stats_.requests_received += 1;
-      tc.received += 1;
-      conn->pending.emplace(rid, nr);
-      ts.queue.push_back(std::move(nr));
-      backlog_ += 1;
-      bridge_cv_.notify_one();
-    }
+  std::lock_guard<std::mutex> lk(mu_);
+  nr->tenant = conn->tenant;
+  // Admission ladder (see header comment): shutdown → global backlog →
+  // tenant quota → queue. Every rejection is a structured frame sent
+  // before the service ever sees the request.
+  if (stopping_) {
+    stats_.rejected_sent += 1;
+    append_frame_locked(conn,
+                        make_reject_frame(rid, nr->trace_id,
+                                          WireReject::kShuttingDown,
+                                          "net.admission"));
+    return;
   }
-  if (shed_noted) service_.note_request_shed();
+  TenantState& ts = tenant_state_locked(conn->tenant);
+  TenantCounters& tc = stats_.tenants[conn->tenant];
+  if (backlog_ >= cfg_.shed_backlog) {
+    stats_.shed_overloaded += 1;
+    stats_.rejected_sent += 1;
+    append_frame_locked(conn,
+                        make_reject_frame(rid, nr->trace_id,
+                                          WireReject::kOverloaded,
+                                          "net.admission"));
+  } else if (ts.queue.size() >= ts.policy.max_queued) {
+    stats_.shed_tenant_quota += 1;
+    stats_.rejected_sent += 1;
+    tc.shed += 1;
+    append_frame_locked(conn,
+                        make_reject_frame(rid, nr->trace_id,
+                                          WireReject::kTenantQuota,
+                                          "net.admission"));
+  } else {
+    stats_.requests_received += 1;
+    tc.received += 1;
+    conn->pending.emplace(rid, nr);
+    ts.queue.push_back(std::move(nr));
+    backlog_ += 1;
+    bridge_cv_.notify_one();
+  }
 }
 
 void Server::begin_error_close(const std::shared_ptr<Conn>& conn,
@@ -923,7 +907,6 @@ void Server::teardown(const std::shared_ptr<Conn>& conn) {
   conns_.erase(conn->id);
   ::close(conn->fd);
   if (stats_.connections_active > 0) stats_.connections_active -= 1;
-  service_.note_connection_closed();
   bridge_cv_.notify_one();
 }
 

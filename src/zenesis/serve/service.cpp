@@ -7,9 +7,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/core/session.hpp"
 #include "zenesis/io/tiff_stream.hpp"
-#include "zenesis/models/feature_cache.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/kernels.hpp"
@@ -415,7 +415,7 @@ void SegmentService::run_slice_batch(std::vector<Pending>& batch) {
     std::vector<std::size_t> unique_idx;
     for (std::size_t i = 0; i < n; ++i) {
       if (prep_error[i]) continue;
-      if (seen.emplace(models::hash_image(ready[i]), i).second) {
+      if (seen.emplace(cache::hash_image(ready[i]), i).second) {
         unique_idx.push_back(i);
       }
     }
@@ -564,27 +564,6 @@ std::size_t SegmentService::queue_depth() const {
   return queue_.size();
 }
 
-void SegmentService::note_connection_accepted() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.connections_accepted += 1;
-  stats_.connections_active += 1;
-}
-
-void SegmentService::note_connection_closed() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  if (stats_.connections_active > 0) stats_.connections_active -= 1;
-}
-
-void SegmentService::note_request_shed() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.requests_shed += 1;
-}
-
-void SegmentService::note_protocol_error() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.protocol_errors += 1;
-}
-
 void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   const ServiceStats s = stats();
   const auto set_u64 = [&](const char* key, std::uint64_t v) {
@@ -600,10 +579,6 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_u64("serve_cancelled", s.cancelled);
   set_u64("serve_batches", s.batches);
   set_u64("serve_queue_high_water", s.queue_depth_high_water);
-  set_u64("serve_connections_accepted", s.connections_accepted);
-  set_u64("serve_connections_active", s.connections_active);
-  set_u64("serve_requests_shed", s.requests_shed);
-  set_u64("serve_protocol_errors", s.protocol_errors);
   dashboard.set_stat("serve_batch_size_mean", s.batch_size.mean());
   dashboard.set_stat("serve_batch_size_max", s.batch_size.max());
   const auto set_hist = [&](const std::string& prefix, const Histogram& h) {
@@ -617,7 +592,7 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_hist("serve_total_us", s.total_us);
   // Cache effectiveness as seen from the serving layer: how much of the
   // batch work the two cache tiers absorbed.
-  const models::FeatureCacheStats fc = pipeline_.cache_stats();
+  const cache::FeatureCacheStats fc = pipeline_.cache_stats();
   dashboard.set_stat("serve_feature_cache_hit_rate", fc.hit_rate());
   set_u64("serve_feature_cache_disk_hits", fc.disk_hits);
   const cache::LruCacheStats mc = pipeline_.mask_cache_stats();

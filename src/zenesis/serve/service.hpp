@@ -229,16 +229,6 @@ struct ServiceStats {
   std::uint64_t batches = 0;
   std::uint64_t queue_depth_high_water = 0;
 
-  // Connection-level counters, maintained by a network front end (the
-  // zenesis::net server) through the note_connection_* hooks below. They
-  // live here — not only in net's own stats — so the one ServiceStats
-  // block a dashboard already subscribes to tells the whole serving
-  // story; services used purely in-process simply report zeros.
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_active = 0;  ///< gauge: currently open
-  std::uint64_t requests_shed = 0;       ///< shed before service admission
-  std::uint64_t protocol_errors = 0;     ///< malformed wire traffic
-
   Histogram queue_us;    ///< admission → dispatch, per request
   Histogram encode_us;   ///< shared-backbone stage, per batch
   Histogram decode_us;   ///< pipeline decode, per request
@@ -282,17 +272,6 @@ class SegmentService {
 
   ServiceStats stats() const;
   std::size_t queue_depth() const;
-
-  /// Connection-lifecycle hooks for a network front end (zenesis::net).
-  /// Thread-safe; they only bump the ServiceStats counters so wire-level
-  /// health shows up on the same dashboard as admission/latency stats.
-  void note_connection_accepted();
-  void note_connection_closed();
-  /// A request was load-shed (tenant quota / overload) before reaching
-  /// this service's admission queue.
-  void note_request_shed();
-  /// Malformed wire traffic (bad frame, bad payload, slow-loris timeout).
-  void note_protocol_error();
 
   /// Writes the stats block into a Mode-C dashboard (serve_* keys).
   void publish_stats(eval::Dashboard& dashboard) const;

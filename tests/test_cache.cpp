@@ -455,7 +455,7 @@ TEST_F(BudgetEnv, EnvironmentSizesTheDefaultBudget) {
   ::setenv("ZENESIS_CACHE_BUDGET", "8M", 1);
   EXPECT_EQ(cache::default_byte_budget(), std::size_t{8} << 20);
   // The pipeline's cache configs pick the knob up at construction.
-  EXPECT_EQ(models::FeatureCacheConfig{}.byte_budget, std::size_t{8} << 20);
+  EXPECT_EQ(cache::FeatureCacheConfig{}.byte_budget, std::size_t{8} << 20);
   EXPECT_EQ(cache::ShardedCacheConfig{}.byte_budget, std::size_t{8} << 20);
 }
 

@@ -16,10 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/cache/sharded_lru.hpp"
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/fibsem/synth.hpp"
-#include "zenesis/models/feature_cache.hpp"
 
 namespace {
 
@@ -130,10 +130,10 @@ TEST(CacheStress, ConcurrentSameKeyPutsConvergeToOneValue) {
 }
 
 TEST(CacheStress, ConcurrentFeatureCacheEncodesShareOneEntryPerImage) {
-  models::FeatureCacheConfig cfg;
+  cache::FeatureCacheConfig cfg;
   cfg.capacity = 16;
   cfg.shards = 4;
-  models::FeatureCache cache(cfg);
+  cache::FeatureCache cache(cfg);
   const models::VisionBackbone backbone;
   constexpr int kImages = 3;
   std::vector<image::ImageF32> images;

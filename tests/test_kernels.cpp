@@ -29,11 +29,11 @@
 
 #include <unistd.h>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/eval/metrics.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/image/normalize.hpp"
-#include "zenesis/models/feature_cache.hpp"
 #include "zenesis/tensor/kernels.hpp"
 #include "zenesis/tensor/ops.hpp"
 #include "zenesis/tensor/quant.hpp"
@@ -604,13 +604,13 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
   const image::ImageF32 ready =
       image::make_ai_ready(image::AnyImage(slice.raw), {});
 
-  models::FeatureCacheConfig cache_cfg;
+  cache::FeatureCacheConfig cache_cfg;
   cache_cfg.disk_path = dir.string();
 
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
   const std::uint64_t h_fp32 = cache::hash_backbone_config(bb);
   {
-    models::FeatureCache warm(cache_cfg);
+    cache::FeatureCache warm(cache_cfg);
     (void)warm.encode(ready, backbone);  // miss → L1 + disk write
     const auto s = warm.stats();
     EXPECT_EQ(s.misses, 1u);
@@ -620,7 +620,7 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
   ASSERT_TRUE(tensor::quant::set_precision("int8"));
   EXPECT_NE(cache::hash_backbone_config(bb), h_fp32);
   {
-    models::FeatureCache cold(cache_cfg);
+    cache::FeatureCache cold(cache_cfg);
     (void)cold.encode(ready, backbone);  // same image, other precision
     const auto s = cold.stats();
     EXPECT_EQ(s.disk_hits, 0u) << "fp32 embedding served under int8";
@@ -629,7 +629,7 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
 
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
   {
-    models::FeatureCache back(cache_cfg);
+    cache::FeatureCache back(cache_cfg);
     (void)back.encode(ready, backbone);
     const auto s = back.stats();
     EXPECT_EQ(s.disk_hits, 1u) << "fp32 embedding lost from the store";

@@ -6,8 +6,8 @@
 //       Mode-B volume_file request streamed from a real TIFF),
 //   (c) trace ids flow from the client frame through obs spans and back,
 //   (d) per-tenant weighted fairness and shed-before-QueueFull admission,
-//   (e) connection counters surface in NetStats, ServiceStats and the
-//       Mode-C dashboard.
+//   (e) wire counters surface in NetStats and reach the Mode-C dashboard
+//       exactly once, as net_* keys.
 // The fault-injection and fuzz suites live in test_net_faults.cpp and
 // test_net_fuzz.cpp; the thousand-client soak in test_net_soak.cpp.
 #include <gtest/gtest.h>
@@ -484,55 +484,84 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
   // The whole point of net-level admission: the service's QueueFull
   // backstop never fires for wire traffic.
   EXPECT_EQ(sstats.rejected_queue_full, 0u);
-  EXPECT_EQ(sstats.requests_shed, 2u);
 }
 
-// (e) Counters: NetStats, ServiceStats connection block, dashboard keys.
-TEST(Net, StatsFlowIntoServiceAndDashboard) {
+// (e) Counters: NetStats and the dashboard's net_* keys. Every protocol
+// error the event loop counts reaches the dashboard once — including the
+// zero/duplicate request id and oversized ping paths — and no serve_*
+// shadow of the wire counters is published next to it.
+TEST(Net, StatsFlowIntoDashboardOnce) {
   zenesis::core::Session session;
   zs::SegmentService service;
   service.attach_to(session);
-  zn::Server server(service);
+  zn::ServerConfig cfg;
+  cfg.start_bridge_paused = true;  // keeps request 7 pending for the dup
+  zn::Server server(service, cfg);
   server.attach_to(session);
 
   {
     auto [client, server_fd] = zn::Client::loopback_pair();
     server.adopt(server_fd);
     ASSERT_TRUE(client.hello(4));
-    const std::uint64_t rid =
-        client.submit_slice(zi::AnyImage(make_slice(24, 2).raw), kPrompt);
-    const auto r = client.wait_for(rid);
+    const zi::AnyImage img(make_slice(24, 2).raw);
+
+    ASSERT_TRUE(client.send_bytes(zn::encode_slice_request(0, img, kPrompt, {})));
+    const auto zero_id = client.recv();
+    ASSERT_TRUE(zero_id.has_value());
+    EXPECT_EQ(zero_id->type, zn::FrameType::kError);
+
+    ASSERT_TRUE(client.send_bytes(zn::encode_ping(
+        std::vector<std::uint8_t>(zn::NetLimits{}.max_ping_bytes + 1, 0xAB))));
+    const auto big_ping = client.recv();
+    ASSERT_TRUE(big_ping.has_value());
+    EXPECT_EQ(big_ping->type, zn::FrameType::kError);
+
+    ASSERT_EQ(client.submit_slice(img, kPrompt, {}, 7), 7u);
+    ASSERT_EQ(client.submit_slice(img, kPrompt, {}, 7), 7u);
+    const auto dup = client.wait_for(7);
+    ASSERT_TRUE(dup.has_value());
+    EXPECT_EQ(dup->type, zn::FrameType::kError);
+
+    server.resume_bridge();
+    const auto r = client.wait_for(7);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->type, zn::FrameType::kResponse);
   }  // client destructor closes the connection
 
   // Wait until the event loop notices the disconnect.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (service.stats().connections_active > 0 &&
+  while (server.stats().connections_active > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
 
-  const zs::ServiceStats sstats = service.stats();
-  EXPECT_EQ(sstats.connections_accepted, 1u);
-  EXPECT_EQ(sstats.connections_active, 0u);
-
   session.publish_runtime_stats();
+  const zn::NetStats live = server.stats();
+  EXPECT_EQ(live.connections_active, 0u);
+  EXPECT_EQ(live.protocol_errors, 3u);  // zero id, oversized ping, dup id
   const auto& published = session.dashboard().stats();
   ASSERT_NE(published.count("net_connections_accepted"), 0u);
   EXPECT_EQ(published.at("net_connections_accepted"), 1.0);
   ASSERT_NE(published.count("net_responses_sent"), 0u);
   EXPECT_EQ(published.at("net_responses_sent"), 1.0);
+  ASSERT_NE(published.count("net_protocol_errors"), 0u);
+  EXPECT_EQ(published.at("net_protocol_errors"),
+            static_cast<double>(live.protocol_errors));
   ASSERT_NE(published.count("net_wire_us_p50"), 0u);
-  ASSERT_NE(published.count("serve_connections_accepted"), 0u);
-  EXPECT_EQ(published.at("serve_connections_accepted"), 1.0);
+  for (const char* shadow :
+       {"serve_connections_accepted", "serve_connections_active",
+        "serve_requests_shed", "serve_protocol_errors"}) {
+    EXPECT_EQ(published.count(shadow), 0u) << shadow;
+  }
 
   server.stop();
   const zn::NetStats nstats = server.stats();
   EXPECT_EQ(nstats.requests_received, 1u);
   EXPECT_EQ(nstats.responses_sent, 1u);
-  EXPECT_EQ(nstats.frames_in, 2u);  // hello + slice request
-  EXPECT_GE(nstats.bytes_in, 2u * zn::kHeaderBytes);
+  EXPECT_EQ(nstats.errors_sent, 3u);
+  // hello + zero-id slice + ping + slice + duplicate slice
+  EXPECT_EQ(nstats.frames_in, 5u);
+  EXPECT_GE(nstats.bytes_in, 5u * zn::kHeaderBytes);
 }
 
 TEST(Net, ConfigValidationSurfacesEveryIssue) {

@@ -249,7 +249,7 @@ TEST(VolumeRequest, ValidateRejectsZeroOrMultipleSources) {
                std::invalid_argument);
 }
 
-TEST(VolumeRequest, SourceSpellingsAndDeprecatedForwardersAgree) {
+TEST(VolumeRequest, SourceSpellingsAgree) {
   const auto vol = zf::generate_volume(test_config(zf::SampleType::kCrystalline));
   const std::string prompt = zf::default_prompt(zf::SampleType::kCrystalline);
   zc::ZenesisPipeline pipe;
@@ -257,23 +257,14 @@ TEST(VolumeRequest, SourceSpellingsAndDeprecatedForwardersAgree) {
       pipe.segment_volume(zc::VolumeRequest::view(vol.volume, prompt));
   const zc::VolumeResult owned =
       pipe.segment_volume(zc::VolumeRequest::in_memory(vol.volume, prompt));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const zc::VolumeResult via_old = pipe.segment_volume(vol.volume, prompt);
-#pragma GCC diagnostic pop
   ASSERT_EQ(borrowed.slices.size(), owned.slices.size());
-  ASSERT_EQ(borrowed.slices.size(), via_old.slices.size());
   for (std::size_t z = 0; z < borrowed.slices.size(); ++z) {
     const auto want = borrowed.slices[z].mask.pixels();
-    const auto got_owned = owned.slices[z].mask.pixels();
-    const auto got_old = via_old.slices[z].mask.pixels();
-    ASSERT_EQ(want.size(), got_owned.size());
-    ASSERT_EQ(want.size(), got_old.size());
+    const auto got = owned.slices[z].mask.pixels();
+    ASSERT_EQ(want.size(), got.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(want[i], got_owned[i]);
-      ASSERT_EQ(want[i], got_old[i]);
+      ASSERT_EQ(want[i], got[i]);
     }
   }
   EXPECT_EQ(borrowed.refined_boxes, owned.refined_boxes);
-  EXPECT_EQ(borrowed.refined_boxes, via_old.refined_boxes);
 }

@@ -314,26 +314,18 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
       << "8 threads of positioned reads never overlapped in 10s";
 }
 
-// The request-level knob: an unknown source kind is a collected
-// validation issue, and the TiffOpenOptions overload threads through.
-TEST(TiffStream, VolumeRequestValidatesSourceKind) {
-  zc::VolumeRequest bad = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt);
-  bad.tiff_source_kind = "fastest";
-  const auto issues = bad.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("fastest"), std::string::npos) << issues[0];
-  EXPECT_NE(issues[0].find("auto|memory|pread|mmap"), std::string::npos);
-
+// The request-level knob: from_file threads the TiffOpenOptions through
+// to the request's one ingestion-policy field untouched.
+TEST(TiffStream, VolumeRequestCarriesOpenOptions) {
   zio::TiffOpenOptions oo;
   oo.source_kind = zio::TiffSourceKind::kPread;
   oo.limits.max_pages = 7;
   oo.prefetch = false;
   const zc::VolumeRequest r = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt, oo);
   EXPECT_TRUE(r.validate().empty());
-  const zio::TiffOpenOptions back = r.tiff_open_options();
-  EXPECT_EQ(back.source_kind, zio::TiffSourceKind::kPread);
-  EXPECT_EQ(back.limits.max_pages, 7u);
-  EXPECT_FALSE(back.prefetch);
+  EXPECT_EQ(r.tiff_open.source_kind, zio::TiffSourceKind::kPread);
+  EXPECT_EQ(r.tiff_open.limits.max_pages, 7u);
+  EXPECT_FALSE(r.tiff_open.prefetch);
 }
 
 // --- the ISSUE-4 acceptance test ----------------------------------------
@@ -357,9 +349,9 @@ TEST(TiffStream, StreamedSegmentVolumeMatchesInMemoryPath) {
       session.pipeline().segment_volume(zc::VolumeRequest::view(mat, kPrompt));
 
   // Streaming path (file -> on-demand slices -> pipeline), through the
-  // TiffOpenOptions session overload.
-  const zc::VolumeResult got =
-      session.mode_b_segment_volume_file(f.path, kPrompt, zio::TiffOpenOptions{});
+  // session's one Mode-B entry point.
+  const zc::VolumeResult got = session.mode_b_segment_volume(
+      zc::VolumeRequest::from_file(f.path, kPrompt));
 
   ASSERT_EQ(got.slices.size(), want.slices.size());
   for (std::size_t z = 0; z < want.slices.size(); ++z) {
