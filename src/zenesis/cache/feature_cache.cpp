@@ -2,7 +2,6 @@
 
 #include "zenesis/cache/serialize.hpp"
 #include "zenesis/obs/trace.hpp"
-#include "zenesis/tensor/quant.hpp"
 
 namespace zenesis::cache {
 namespace {
@@ -36,13 +35,11 @@ std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg) {
   h = fnv1a_value(h, cfg.heads);
   h = fnv1a_value(h, cfg.branch_scale);
   h = fnv1a_value(h, cfg.seed);
-  // The active numeric precision changes the floats encode() produces,
-  // so it is part of the key: an fp32 embedding persisted by the disk
-  // store must be a clean miss under int8 (and vice versa), never a
-  // silently served cross-precision hit.
-  const char* precision = tensor::quant::precision_name();
-  h = fnv1a_bytes(h, precision, std::string_view(precision).size());
-  return h;
+  // The active kernels change the floats encode() produces, so they are
+  // part of the key: an fp32/avx2 embedding persisted by the disk store
+  // must be a clean miss under int8 or another backend, never a silently
+  // served cross-kernel hit.
+  return hash_active_kernels(h);
 }
 
 FeatureCache::FeatureCache(const FeatureCacheConfig& cfg)

@@ -90,9 +90,9 @@ struct FeatureCacheStats {
 std::uint64_t hash_image(const image::ImageF32& img);
 
 /// Content hash of every field that determines a backbone's weights,
-/// plus the active numeric precision (tensor::quant) — fp32 and int8
-/// runs produce different floats, so their cached/persisted embeddings
-/// must live under different keys.
+/// plus the active kernel backend and numeric precision
+/// (hash_active_kernels) — different kernels produce different floats,
+/// so their cached/persisted embeddings must live under different keys.
 std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg);
 
 class FeatureCache {

@@ -2,9 +2,23 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
+#include "zenesis/tensor/kernels.hpp"
+#include "zenesis/tensor/quant.hpp"
+
 namespace zenesis::cache {
+
+std::uint64_t hash_active_kernels(std::uint64_t h) {
+  for (const char* name :
+       {tensor::backend_name(), tensor::quant::precision_name()}) {
+    const std::size_t n = std::strlen(name);
+    h = fnv1a_value(h, n);
+    h = fnv1a_bytes(h, name, n);
+  }
+  return h;
+}
 
 std::optional<std::size_t> parse_byte_size(const std::string& text) noexcept {
   if (text.empty()) return std::nullopt;

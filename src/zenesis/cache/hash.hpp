@@ -46,6 +46,13 @@ struct Key128 {
   friend bool operator==(const Key128&, const Key128&) = default;
 };
 
+/// Folds the active tensor kernel backend and numeric precision
+/// (tensor::backend_name(), tensor::quant::precision_name()) into `h`.
+/// Both are process-wide and both change the floats the models produce,
+/// so every key over model output calls this where the key is built: a
+/// switch of either is then a clean miss, never a cross-kernel hit.
+std::uint64_t hash_active_kernels(std::uint64_t h);
+
 /// Avalanching mix of a key into one word (shard selection, map buckets).
 inline std::uint64_t mix_key(const Key128& k) noexcept {
   std::uint64_t x = k.lo ^ (k.hi * 0x9e3779b97f4a7c15ull);

@@ -5,14 +5,11 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "zenesis/cv/morphology.hpp"
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/image/roi.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
-#include "zenesis/tensor/kernels.hpp"
-#include "zenesis/tensor/quant.hpp"
 
 namespace zenesis::core {
 
@@ -61,29 +58,6 @@ std::vector<std::string> PipelineConfig::validate() const {
   flag(mask_cache.enabled && mask_cache.capacity != 0 &&
            mask_cache.byte_budget == 0,
        "mask_cache.byte_budget must be >= 1 when the cache is enabled");
-  if (!tensor::backend_available(kernel_backend)) {
-    std::string msg = "kernel_backend '" + kernel_backend +
-                      "' is unknown or unavailable on this CPU (available:"
-                      " auto";
-    for (const auto& name : tensor::available_backends()) msg += " " + name;
-    issues.push_back(msg + ")");
-  }
-  if (precision != "auto" && precision != "fp32" && precision != "int8") {
-    issues.push_back("precision '" + precision +
-                     "' is unknown (expected auto, fp32 or int8)");
-  } else if (precision == "int8") {
-    // The backend the pipeline will actually run on: the concrete knob,
-    // or the current process-wide selection under "auto".
-    const std::string backend = kernel_backend == "auto"
-                                    ? std::string(tensor::backend_name())
-                                    : kernel_backend;
-    if (tensor::backend_available(backend) &&
-        !tensor::backend_supports_int8(backend)) {
-      issues.push_back("precision 'int8' requires int8 kernels, which "
-                       "kernel backend '" +
-                       backend + "' does not provide");
-    }
-  }
   return issues;
 }
 
@@ -107,22 +81,6 @@ std::uint64_t decode_config_fingerprint(const PipelineConfig& cfg) {
   h = cache::fnv1a_value(h, cfg.heuristic.replace_missing);
   h = cache::fnv1a_value(h, cfg.max_boxes);
   h = cache::fnv1a_value(h, cfg.enable_heuristic_refine);
-  // Resolved kernel backend: "auto" means whatever the process-wide
-  // selection (ZENESIS_KERNEL or CPU detection) lands on, so the name
-  // actually producing the floats is hashed, not the knob's spelling.
-  const std::string resolved = cfg.kernel_backend == "auto"
-                                   ? std::string(tensor::backend_name())
-                                   : cfg.kernel_backend;
-  h = cache::fnv1a_value(h, resolved.size());
-  h = cache::fnv1a_bytes(h, resolved.data(), resolved.size());
-  // Resolved precision, same rule: hash the name actually producing the
-  // floats ("auto" → the process-wide ZENESIS_PRECISION selection), so
-  // fp32 and int8 masks can never alias in the mask cache.
-  const std::string precision = cfg.precision == "auto"
-                                    ? std::string(tensor::quant::precision_name())
-                                    : cfg.precision;
-  h = cache::fnv1a_value(h, precision.size());
-  h = cache::fnv1a_bytes(h, precision.data(), precision.size());
   return h;
 }
 
@@ -148,31 +106,20 @@ PipelineConfig checked(const PipelineConfig& cfg) {
     for (const auto& issue : issues) msg << "\n  - " << issue;
     throw std::invalid_argument(msg.str());
   }
-  // A concrete backend name is applied process-wide before any member
-  // model runs its first kernel. "auto" deliberately does NOT call
-  // set_backend — it defers to ZENESIS_KERNEL / CPU detection, so a
-  // default-configured pipeline never clobbers an explicit selection.
-  if (cfg.kernel_backend != "auto") {
-    tensor::set_backend(cfg.kernel_backend);  // validated above
-  }
-  // Precision follows the same contract — and is applied AFTER the
-  // backend so an int8 request is checked against the backend this
-  // pipeline just selected.
-  if (cfg.precision != "auto") {
-    tensor::quant::set_precision(cfg.precision);  // validated above
-  }
   return cfg;
 }
 
 /// Mask-cache key for a text-grounded slice request. The image hash is
 /// one half; the other folds a call-shape tag, the decode fingerprint,
-/// and the prompt, so the two request kinds can never alias.
+/// the active kernels and the prompt, so the two request kinds can never
+/// alias and a process-wide backend or precision switch is a clean miss.
 cache::Key128 slice_request_key(const image::ImageF32& ready,
                                 const std::string& prompt,
                                 std::uint64_t fingerprint) {
   std::uint64_t h = cache::kFnvOffset;
   h = cache::fnv1a_value(h, std::uint32_t{1});  // call-shape tag
   h = cache::fnv1a_value(h, fingerprint);
+  h = cache::hash_active_kernels(h);
   h = cache::fnv1a_value(h, prompt.size());
   h = cache::fnv1a_bytes(h, prompt.data(), prompt.size());
   return {cache::hash_image(ready), h};
@@ -186,6 +133,7 @@ cache::Key128 box_request_key(const image::ImageF32& ready,
   std::uint64_t h = cache::kFnvOffset;
   h = cache::fnv1a_value(h, std::uint32_t{2});  // call-shape tag
   h = cache::fnv1a_value(h, fingerprint);
+  h = cache::hash_active_kernels(h);
   h = cache::fnv1a_value(h, box.x);
   h = cache::fnv1a_value(h, box.y);
   h = cache::fnv1a_value(h, box.w);
@@ -411,26 +359,14 @@ SliceResult ZenesisPipeline::assemble(image::ImageF32 ready,
         scores[c] = scorer.score(candidates[c].mask);
         smax = std::max(smax, scores[c]);
       }
-      const auto boundary_adherence = [&](const image::Mask& mask) {
-        const image::Mask boundary = cv::boundary_gradient(mask);
-        double sum = 0.0;
-        std::int64_t count = 0;
-        for (std::int64_t y = 0; y < boundary.height(); ++y) {
-          for (std::int64_t x = 0; x < boundary.width(); ++x) {
-            if (boundary.at(x, y) == 0) continue;
-            sum += enc.maps.channels[models::kEdge].at(x, y);
-            ++count;
-          }
-        }
-        return count > 0 ? sum / static_cast<double>(count) : 0.0;
-      };
       double best_adherence = -1.0;
       std::size_t best_idx = candidates.size();
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         const bool shortlisted =
             smax > 0.0 ? scores[c] >= 0.7 * smax : scores[c] == smax;
         if (!shortlisted) continue;
-        const double adherence = boundary_adherence(candidates[c].mask);
+        const double adherence =
+            models::boundary_adherence(enc, candidates[c].mask);
         if (adherence > best_adherence) {
           best_adherence = adherence;
           best_idx = c;

@@ -49,24 +49,6 @@ struct PipelineConfig {
   /// grounding + SAM. Keys fold in decode_config_fingerprint(), so any
   /// knob change is a clean miss.
   cache::ShardedCacheConfig mask_cache;
-  /// Tensor kernel backend for all model math: "auto" (default — honor
-  /// ZENESIS_KERNEL / the process-wide selection), "scalar", "blocked",
-  /// "avx2", or "neon". A concrete name is applied process-wide at
-  /// pipeline construction via tensor::set_backend(); validate() rejects
-  /// names unavailable on this CPU. The *resolved* name is folded into
-  /// decode_config_fingerprint(), so cached masks never alias across
-  /// backends (different backends agree only to rounding, not by byte).
-  std::string kernel_backend = "auto";
-  /// Numeric precision of the encoder/attention GEMM path: "auto"
-  /// (default — honor ZENESIS_PRECISION / the process-wide selection),
-  /// "fp32", or "int8" (dynamic per-row quantization, tensor/quant.hpp).
-  /// A concrete name is applied process-wide at pipeline construction
-  /// via tensor::quant::set_precision(); validate() rejects "int8" when
-  /// the selected kernel backend has no int8 kernels. The *resolved*
-  /// name is folded into decode_config_fingerprint() AND the feature
-  /// cache's backbone hash, so neither cached masks nor cached/persisted
-  /// embeddings ever alias across precisions.
-  std::string precision = "auto";
 
   /// Sanity-checks every knob and returns one human-readable message per
   /// violation (empty = valid). `ZenesisPipeline`'s constructor calls this
@@ -81,7 +63,11 @@ struct PipelineConfig {
 /// (backbones included), heuristic window, max_boxes, and the refine
 /// switch. The mask-result cache folds this into every key, so ANY
 /// decode-relevant knob change invalidates cached masks while
-/// decode-irrelevant state (thread counts, cache sizing) does not.
+/// decode-irrelevant state (thread counts, cache sizing) does not. The
+/// mask-cache keys also fold the process-wide kernel backend and
+/// precision (tensor::set_backend, tensor::quant::set_precision) active
+/// at each request, through cache::hash_active_kernels, so switching
+/// either after construction is a clean miss.
 std::uint64_t decode_config_fingerprint(const PipelineConfig& cfg);
 
 /// Options for explicit-box segmentation (`segment_with_box`). Replaces
@@ -143,8 +129,8 @@ struct VolumeRequest {
   std::optional<image::VolumeU16> volume;  ///< materialized stack (owned)
   std::optional<VolumeSource> source;      ///< on-demand slice feed
   std::optional<std::string> tiff_path;    ///< streamed straight from disk
-  /// Ingestion policy for the `tiff_path` source (byte-source kind, read
-  /// limits, prefetch); ignored for the other sources.
+  /// TIFF read limits for the `tiff_path` source; ignored for the other
+  /// sources.
   io::TiffOpenOptions tiff_open{};
 
   static VolumeRequest in_memory(image::VolumeU16 vol, std::string text);
@@ -279,7 +265,8 @@ class ZenesisPipeline {
   /// concurrent slice tasks.
   std::unique_ptr<cache::FeatureCache> cache_;
   /// Finished SliceResults keyed by (image hash, request hash); the
-  /// request hash folds in decode_fingerprint_. Internally synchronized.
+  /// request hash folds in decode_fingerprint_ and the kernels active at
+  /// the request. Internally synchronized.
   std::unique_ptr<cache::ShardedLruCache<SliceResult>> mask_cache_;
   std::uint64_t decode_fingerprint_ = 0;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< only when volume_threads > 1

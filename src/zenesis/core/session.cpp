@@ -33,18 +33,12 @@ std::vector<SliceResult> Session::mode_b_segment_images(
   return pipeline_.segment_images(images, prompt);
 }
 
-void Session::add_stats_source(StatsSource source) {
-  if (source) stats_sources_.push_back(StatsEntry{std::move(source), nullptr});
-}
-
 StatsRegistration Session::add_scoped_stats_source(StatsSource source) {
   if (!source) return StatsRegistration{};
   auto alive = std::make_shared<std::atomic<bool>>(true);
   stats_sources_.push_back(StatsEntry{std::move(source), alive});
   return StatsRegistration{std::move(alive)};
 }
-
-void Session::clear_stats_sources() { stats_sources_.clear(); }
 
 void Session::publish_runtime_stats() {
   const cache::FeatureCacheStats s = pipeline_.cache_stats();
@@ -87,8 +81,7 @@ void Session::publish_runtime_stats() {
   stats_sources_.erase(
       std::remove_if(stats_sources_.begin(), stats_sources_.end(),
                      [](const StatsEntry& e) {
-                       return e.alive &&
-                              !e.alive->load(std::memory_order_relaxed);
+                       return !e.alive->load(std::memory_order_relaxed);
                      }),
       stats_sources_.end());
   for (const auto& entry : stats_sources_) entry.fn(dashboard_);

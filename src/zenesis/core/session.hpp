@@ -98,15 +98,10 @@ class Session {
   /// publishing its admission/latency counters). Sources are invoked every
   /// time runtime stats are refreshed.
   using StatsSource = std::function<void(eval::Dashboard&)>;
-  /// Permanent registration: the source must outlive the session (or be
-  /// removed wholesale via `clear_stats_sources`). Prefer the scoped
-  /// variant for any source with a shorter lifetime than the session.
-  void add_stats_source(StatsSource source);
   /// Scoped registration: the source runs only while the returned handle
   /// is alive, so destroying the producer (which owns the handle)
   /// automatically stops the session from calling into freed memory.
   [[nodiscard]] StatsRegistration add_scoped_stats_source(StatsSource source);
-  void clear_stats_sources();
 
   /// Refreshes the dashboard's runtime-stats section: the pipeline's
   /// feature-cache counters (hits, misses, evictions, hit rate), every
@@ -141,8 +136,8 @@ class Session {
                               const std::string& prompt) const;
 
  private:
-  /// A registered source; `alive == nullptr` means permanent, otherwise
-  /// the source is skipped (and pruned) once its registration died.
+  /// A registered source; skipped (and pruned) once its registration
+  /// died.
   struct StatsEntry {
     StatsSource fn;
     std::shared_ptr<std::atomic<bool>> alive;

@@ -103,17 +103,17 @@ class PreadByteSource final : public ByteSource {
 
 /// ByteSource over a read-only memory mapping. view() returns true
 /// zero-copy spans into the mapping; read_at copies out of it. The
-/// constructor applies madvise(SEQUENTIAL|WILLNEED) when `prefetch` is
-/// set — the access pattern of streaming volume decode. Views are
-/// invalidated when the source (or the reader owning it) is destroyed.
+/// constructor applies madvise(SEQUENTIAL|WILLNEED) — the access pattern
+/// of streaming volume decode. Views are invalidated when the source (or
+/// the reader owning it) is destroyed.
 class MmapByteSource final : public ByteSource {
  public:
-  explicit MmapByteSource(const std::string& path, bool prefetch = true);
+  explicit MmapByteSource(const std::string& path);
   ~MmapByteSource() override;
   MmapByteSource(const MmapByteSource&) = delete;
   MmapByteSource& operator=(const MmapByteSource&) = delete;
 
-  /// False on platforms without a usable mmap; open-time resolution
+  /// False on platforms without a usable mmap; TiffVolumeReader::open(path)
   /// falls back to pread (warn-once) instead of failing.
   static bool supported() noexcept;
 

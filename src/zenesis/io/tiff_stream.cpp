@@ -1,9 +1,7 @@
 #include "zenesis/io/tiff_stream.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -17,106 +15,26 @@
 namespace zenesis::io {
 
 // ---------------------------------------------------------------------------
-// Source-kind selection (ZENESIS_TIFF_SOURCE, warn-once fallback)
+// File source selection (mmap where supported, warn-once pread fallback)
 // ---------------------------------------------------------------------------
-
-const char* to_string(TiffSourceKind kind) noexcept {
-  switch (kind) {
-    case TiffSourceKind::kAuto: return "auto";
-    case TiffSourceKind::kMemory: return "memory";
-    case TiffSourceKind::kPread: return "pread";
-    case TiffSourceKind::kMmap: return "mmap";
-  }
-  return "auto";
-}
-
-std::optional<TiffSourceKind> parse_source_kind(std::string_view name) {
-  if (name == "auto") return TiffSourceKind::kAuto;
-  if (name == "memory") return TiffSourceKind::kMemory;
-  if (name == "pread") return TiffSourceKind::kPread;
-  if (name == "mmap") return TiffSourceKind::kMmap;
-  return std::nullopt;
-}
-
-TiffSourceKind resolve_tiff_source_selector(std::string_view value,
-                                            std::string* warning) {
-  if (const auto kind = parse_source_kind(value)) {
-    if (warning != nullptr) warning->clear();
-    return *kind;
-  }
-  if (warning != nullptr) {
-    *warning = "unknown ZENESIS_TIFF_SOURCE \"" + std::string(value) +
-               "\" (expected auto|memory|pread|mmap); using auto";
-  }
-  return TiffSourceKind::kAuto;
-}
 
 namespace {
 
-std::atomic<int> g_default_kind{-1};
-std::once_flag g_source_env_once;
 std::once_flag g_mmap_warn_once;
 
-void init_default_kind_from_env() {
-  TiffSourceKind kind = TiffSourceKind::kAuto;
-  const char* env = std::getenv("ZENESIS_TIFF_SOURCE");
-  if (env != nullptr && *env != '\0') {
-    std::string warning;
-    kind = resolve_tiff_source_selector(env, &warning);
-    if (!warning.empty()) {
-      std::fprintf(stderr, "zenesis: %s\n", warning.c_str());
-    }
+std::shared_ptr<const ByteSource> make_file_source(const std::string& path) {
+  if (MmapByteSource::supported()) {
+    return std::make_shared<MmapByteSource>(path);
   }
-  if (kind == TiffSourceKind::kAuto) {
-    kind = MmapByteSource::supported() ? TiffSourceKind::kMmap
-                                       : TiffSourceKind::kPread;
-  }
-  g_default_kind.store(static_cast<int>(kind), std::memory_order_relaxed);
-}
-
-/// Resolves kAuto and downgrades unsupported mmap to pread, warning
-/// once (same contract as the ZENESIS_KERNEL / ZENESIS_PRECISION
-/// fallbacks).
-TiffSourceKind concrete_source_kind(TiffSourceKind requested) {
-  TiffSourceKind kind =
-      requested == TiffSourceKind::kAuto ? default_source_kind() : requested;
-  if (kind == TiffSourceKind::kMmap && !MmapByteSource::supported()) {
-    std::call_once(g_mmap_warn_once, [] {
-      std::fprintf(stderr,
-                   "zenesis: mmap TIFF source unavailable on this platform; "
-                   "using pread\n");
-    });
-    kind = TiffSourceKind::kPread;
-  }
-  return kind;
-}
-
-std::shared_ptr<const ByteSource> make_file_source(const std::string& path,
-                                                   TiffSourceKind kind,
-                                                   bool prefetch) {
-  switch (kind) {
-    case TiffSourceKind::kMemory: {
-      // The decompress-whole-file shape: slurp, then parse from RAM.
-      PreadByteSource file(path);
-      const auto n = static_cast<std::size_t>(file.size());
-      std::vector<std::uint8_t> bytes(n);
-      if (n > 0) file.read_at(0, bytes.data(), n);
-      return std::make_shared<MemoryByteSource>(std::move(bytes));
-    }
-    case TiffSourceKind::kPread:
-      return std::make_shared<PreadByteSource>(path);
-    default:
-      return std::make_shared<MmapByteSource>(path, prefetch);
-  }
+  std::call_once(g_mmap_warn_once, [] {
+    std::fprintf(stderr,
+                 "zenesis: mmap TIFF source unavailable on this platform; "
+                 "using pread\n");
+  });
+  return std::make_shared<PreadByteSource>(path);
 }
 
 }  // namespace
-
-TiffSourceKind default_source_kind() {
-  std::call_once(g_source_env_once, init_default_kind_from_env);
-  return static_cast<TiffSourceKind>(
-      g_default_kind.load(std::memory_order_relaxed));
-}
 
 // ---------------------------------------------------------------------------
 // Parsing
@@ -802,30 +720,23 @@ image::AnyImage decode_page(const ByteSource& source,
 
 TiffVolumeReader TiffVolumeReader::open(const std::string& path,
                                         const TiffOpenOptions& options) {
-  const TiffSourceKind kind = concrete_source_kind(options.source_kind);
-  return TiffVolumeReader(make_file_source(path, kind, options.prefetch),
-                          options, kind);
+  return TiffVolumeReader(make_file_source(path), options);
 }
 
 TiffVolumeReader TiffVolumeReader::open(std::vector<std::uint8_t> bytes,
                                         const TiffOpenOptions& options) {
   return TiffVolumeReader(
-      std::make_shared<MemoryByteSource>(std::move(bytes)), options,
-      TiffSourceKind::kMemory);
+      std::make_shared<MemoryByteSource>(std::move(bytes)), options);
 }
 
 TiffVolumeReader TiffVolumeReader::open(
     std::shared_ptr<const ByteSource> source, const TiffOpenOptions& options) {
-  return TiffVolumeReader(std::move(source), options,
-                          TiffSourceKind::kMemory);
+  return TiffVolumeReader(std::move(source), options);
 }
 
 TiffVolumeReader::TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                                   const TiffOpenOptions& options,
-                                   TiffSourceKind resolved)
-    : source_(std::move(source)),
-      limits_(options.limits),
-      resolved_kind_(resolved) {
+                                   const TiffOpenOptions& options)
+    : source_(std::move(source)), limits_(options.limits) {
   if (!source_) {
     throw std::invalid_argument("TiffVolumeReader: null byte source");
   }

@@ -10,14 +10,11 @@
 // per call and every ByteSource implementation is lock-free
 // thread-safe (positioned reads or immutable mappings).
 //
-// Opening goes through one front door:
-//
-//   auto reader = TiffVolumeReader::open(path, TiffOpenOptions{...});
-//
-// TiffOpenOptions picks the byte source (mmap for zero-copy streaming,
-// pread for portability, memory to slurp the file — kAuto resolves via
-// ZENESIS_TIFF_SOURCE and platform support), carries the read limits,
-// and toggles madvise prefetch hints.
+// Opening goes through one front door, TiffVolumeReader::open: a path
+// is read through an mmap source where the platform supports it (else
+// pread), a byte buffer through a MemoryByteSource, and a caller-built
+// ByteSource as given — the way to pick a specific source. TiffOpenOptions
+// carries the read limits.
 //
 // Format coverage (read): classic TIFF and BigTIFF (version 43), little-
 // and big-endian, strip and tile layouts, uncompressed, PackBits, LZW
@@ -29,9 +26,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "zenesis/image/image.hpp"
@@ -40,41 +35,10 @@
 
 namespace zenesis::io {
 
-/// Which ByteSource TiffVolumeReader::open(path, ...) builds.
-enum class TiffSourceKind {
-  kAuto,    ///< ZENESIS_TIFF_SOURCE env if set, else mmap, else pread
-  kMemory,  ///< slurp the whole file into a MemoryByteSource
-  kPread,   ///< PreadByteSource (positioned reads, no mapping)
-  kMmap,    ///< MmapByteSource (zero-copy views; falls back to pread
-            ///< with a warn-once message where mmap is unsupported)
-};
-
-const char* to_string(TiffSourceKind kind) noexcept;
-
-/// Parses "auto" | "memory" | "pread" | "mmap"; nullopt otherwise.
-std::optional<TiffSourceKind> parse_source_kind(std::string_view name);
-
-/// Resolves a selector string against the known kinds, mirroring the
-/// ZENESIS_KERNEL / ZENESIS_PRECISION contract: an unknown value falls
-/// back to kAuto and describes itself in *warning (set to empty when
-/// the value was valid). Pure function, testable without the env.
-TiffSourceKind resolve_tiff_source_selector(std::string_view value,
-                                            std::string* warning);
-
-/// The process-default source kind: ZENESIS_TIFF_SOURCE when set (read
-/// once; an invalid value warns once on stderr and falls back), else
-/// kMmap where supported, else kPread. Never returns kAuto.
-TiffSourceKind default_source_kind();
-
-/// Everything TiffVolumeReader::open needs beyond the path/bytes: the
-/// byte-source choice, the untrusted-input limits and the prefetch
-/// toggle for mmap madvise hints.
+/// Everything TiffVolumeReader::open needs beyond the path/bytes/source:
+/// the untrusted-input limits.
 struct TiffOpenOptions {
-  TiffSourceKind source_kind = TiffSourceKind::kAuto;
   TiffReadLimits limits{};
-  /// madvise(SEQUENTIAL|WILLNEED) on mmap sources — the right hint for
-  /// front-to-back volume streaming; disable for sparse page access.
-  bool prefetch = true;
 };
 
 /// Parsed per-page metadata: everything decode needs, nothing decoded.
@@ -108,12 +72,12 @@ struct TiffPageInfo {
 /// bounded memory. const methods are safe to call concurrently.
 class TiffVolumeReader {
  public:
-  /// Opens a file without reading pixel data; the byte source is
-  /// picked per options.source_kind (see TiffSourceKind).
+  /// Opens a file without reading pixel data through an MmapByteSource,
+  /// or a PreadByteSource where mmap is unsupported (warned once).
   static TiffVolumeReader open(const std::string& path,
                                const TiffOpenOptions& options = {});
-  /// Parses an in-memory TIFF (tests, network buffers); always a
-  /// MemoryByteSource regardless of options.source_kind.
+  /// Parses an in-memory TIFF (tests, network buffers) through a
+  /// MemoryByteSource.
   static TiffVolumeReader open(std::vector<std::uint8_t> bytes,
                                const TiffOpenOptions& options = {});
   /// Parses from a caller-provided source (object store, test double).
@@ -147,18 +111,13 @@ class TiffVolumeReader {
   image::VolumeU16 read_volume_u16() const;
 
   const TiffReadLimits& limits() const noexcept { return limits_; }
-  /// The concrete source kind this reader ended up with (kAuto and
-  /// unsupported-mmap fallbacks resolved); kMemory for byte/source
-  /// opens.
-  TiffSourceKind source_kind() const noexcept { return resolved_kind_; }
 
  private:
   TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                   const TiffOpenOptions& options, TiffSourceKind resolved);
+                   const TiffOpenOptions& options);
 
   std::shared_ptr<const ByteSource> source_;
   TiffReadLimits limits_;
-  TiffSourceKind resolved_kind_ = TiffSourceKind::kMemory;
   std::vector<TiffPageInfo> pages_;
 };
 

@@ -411,6 +411,20 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
   return out;
 }
 
+double boundary_adherence(const SamEncoded& enc, const image::Mask& mask) {
+  const image::Mask boundary = cv::boundary_gradient(mask);
+  double sum = 0.0;
+  std::int64_t count = 0;
+  for (std::int64_t y = 0; y < boundary.height(); ++y) {
+    for (std::int64_t x = 0; x < boundary.width(); ++x) {
+      if (boundary.at(x, y) == 0) continue;
+      sum += enc.maps.channels[kEdge].at(x, y);
+      ++count;
+    }
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+}
+
 MaskPrediction SamModel::predict_box(const SamEncoded& enc,
                                      const image::Box& raw_box) const {
   std::vector<MaskPrediction> candidates = predict_box_candidates(enc, raw_box);
@@ -421,18 +435,7 @@ MaskPrediction SamModel::predict_box(const SamEncoded& enc,
   best.mask = image::Mask(enc.maps.width, enc.maps.height);
   double best_score = -1.0;
   for (auto& c : candidates) {
-    const image::Mask boundary = cv::boundary_gradient(c.mask);
-    double edge_sum = 0.0;
-    std::int64_t edge_n = 0;
-    for (std::int64_t y = 0; y < boundary.height(); ++y) {
-      for (std::int64_t x = 0; x < boundary.width(); ++x) {
-        if (boundary.at(x, y) == 0) continue;
-        edge_sum += enc.maps.channels[kEdge].at(x, y);
-        ++edge_n;
-      }
-    }
-    const double adherence = edge_n > 0 ? edge_sum / static_cast<double>(edge_n) : 0.0;
-    const double score = c.confidence * (0.1 + adherence);
+    const double score = c.confidence * (0.1 + boundary_adherence(enc, c.mask));
     if (score > best_score) {
       best_score = score;
       best = std::move(c);

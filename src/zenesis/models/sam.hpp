@@ -70,6 +70,13 @@ struct MaskPrediction {
   int polarity = 0;          ///< +1 brighter-than-context, -1 darker (box prompts)
 };
 
+/// Boundary adherence of a mask: mean edge strength (the kEdge feature
+/// channel) along its outline (cv::boundary_gradient), summed in
+/// row-major order; 0 for an empty outline. A real object's outline
+/// follows image edges, a spurious or blurred one floats through flat
+/// regions or the halo.
+double boundary_adherence(const SamEncoded& enc, const image::Mask& mask);
+
 class SamModel {
  public:
   explicit SamModel(const SamConfig& cfg = {});

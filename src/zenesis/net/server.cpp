@@ -168,9 +168,6 @@ struct Server::TenantState {
 
 Server::Server(serve::SegmentService& service, ServerConfig cfg)
     : service_(service), cfg_(checked(std::move(cfg))) {
-  max_inflight_ = cfg_.max_inflight > 0 ? cfg_.max_inflight
-                                        : service_.config().queue_capacity;
-  bridge_paused_ = cfg_.start_bridge_paused;
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     throw std::runtime_error("net::Server: cannot create wake pipe");
@@ -769,7 +766,7 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
   bool bad_rid = false, duplicate = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (cfg_.require_hello && !conn->hello_done) {
+    if (!conn->hello_done) {
       stats_.protocol_errors += 1;
       conn->read_closed = true;
       conn->trailing_error = encode_error(
@@ -1007,7 +1004,7 @@ void Server::bridge_main() {
     // --- pump: weighted round-robin across tenant queues ----------------
     bool submitted_any = false;
     while (!bridge_paused_ && backlog_ > 0 &&
-           inflight_.size() < max_inflight_) {
+           inflight_.size() < service_.config().queue_capacity) {
       // Rotation order is ascending tenant id; each visit submits up to
       // `weight` requests before moving on, so under saturation tenant
       // throughput is proportional to its weight.

@@ -17,8 +17,8 @@
 //   bridge ── drains the tenant queues in weighted round-robin order
 //     (each visit submits up to `weight` requests of the chosen tenant,
 //     so under saturation tenant throughput is proportional to weight),
-//     throttled so at most `max_inflight` requests are inside the
-//     service at once — the service's QueueFull backstop is therefore
+//     throttled so at most the service's `queue_capacity` requests are
+//     inside it at once — the service's QueueFull backstop is therefore
 //     never hit by wire traffic; shedding happened earlier, at net
 //     admission, with a structured Rejected frame. The same thread reaps
 //     completed futures, encodes terminal frames, and hands them to the
@@ -26,7 +26,8 @@
 //
 // Admission ladder for a request frame (first failure wins):
 //   1. decoder/frame errors            → Error frame, connection drains
-//   2. no Hello / duplicate request id → Error frame (connection keeps going)
+//   2. no Hello (always required)      → Error frame, connection drains
+//      rid 0 / duplicate request id    → Error frame (connection keeps going)
 //   3. server draining                 → Rejected{ShuttingDown}
 //   4. global backlog ≥ shed_backlog   → Rejected{Overloaded}
 //   5. tenant queue ≥ tenant quota     → Rejected{TenantQuota}
@@ -89,23 +90,14 @@ struct ServerConfig {
   /// Total net-queued requests across tenants; beyond it requests shed
   /// with Rejected{Overloaded} regardless of tenant quota.
   std::size_t shed_backlog = 4096;
-  /// Cap on requests concurrently inside the service; 0 = the service's
-  /// queue_capacity (so wire traffic never triggers QueueFull there).
-  std::size_t max_inflight = 0;
   /// A connection holding an incomplete frame longer than this is a
   /// slow-loris: it gets an Error{Timeout} frame and is closed.
   std::chrono::milliseconds partial_frame_timeout{5000};
   /// Bound on flushing outstanding responses during stop().
   std::chrono::milliseconds drain_timeout{5000};
-  /// Request frames before a Hello are protocol errors (default). Tests
-  /// may relax this to poke the request path directly.
-  bool require_hello = true;
-  /// Start with the bridge paused (frames are still read and queued) —
-  /// deterministic queue buildup for fairness/shedding tests.
-  bool start_bridge_paused = false;
-  /// Ingestion knobs applied to every wire VolumeFile request (byte-source
-  /// kind, TIFF read limits, prefetch). Server-side policy: clients name a
-  /// path, the operator decides how it is opened.
+  /// TIFF read limits applied to every wire VolumeFile request.
+  /// Server-side policy: clients name a path, the operator bounds what
+  /// opening it may cost.
   io::TiffOpenOptions tiff_open{};
 
   /// One message per invalid knob; empty = valid.
@@ -170,7 +162,9 @@ class Server {
   void adopt(int fd);
 
   /// Deterministic buildup control for tests: while paused, request
-  /// frames queue at net admission but nothing is submitted.
+  /// frames queue at net admission but nothing is submitted. The bridge
+  /// starts idle, so pausing right after construction holds every
+  /// request.
   void pause_bridge();
   void resume_bridge();
 
@@ -229,7 +223,6 @@ class Server {
 
   serve::SegmentService& service_;
   ServerConfig cfg_;
-  std::size_t max_inflight_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable bridge_cv_;

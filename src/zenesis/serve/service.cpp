@@ -116,8 +116,7 @@ SegmentService::SegmentService(const ServiceConfig& cfg)
       pipeline_(cfg.pipeline),
       pool_(cfg.fanout_threads > 1
                 ? std::make_unique<parallel::ThreadPool>(cfg.fanout_threads)
-                : nullptr),
-      paused_(cfg.start_paused) {
+                : nullptr) {
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -167,26 +166,14 @@ std::future<Response> SegmentService::submit(Request req) {
   std::future<Response> future = promise.get_future();
   const Clock::time_point now = Clock::now();
   bool notify = false;
-  std::vector<Pending> purged;
-  std::vector<RejectReason> purge_reasons;
+  std::vector<std::pair<Pending, RejectReason>> purged;
   {
     std::lock_guard<std::mutex> lk(mutex_);
     if (!stopping_ && queue_.size() >= cfg_.queue_capacity) {
       // Admission-time purge: cancelled or already-expired entries give
       // up their slot before we reject with QueueFull, so cancellation
       // relieves backpressure even when the dispatcher is busy or paused.
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        const bool cancelled = it->req.cancel && it->req.cancel->cancelled();
-        const bool expired = it->req.deadline && *it->req.deadline <= now;
-        if (cancelled || expired) {
-          purge_reasons.push_back(cancelled ? RejectReason::kCancelled
-                                            : RejectReason::kDeadlineExpired);
-          purged.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      purged = sweep_dead_locked(now);
     }
     const auto reject_now = [&](RejectReason reason) {
       Response r = rejected_response(reason, req.kind);
@@ -214,9 +201,7 @@ std::future<Response> SegmentService::submit(Request req) {
       notify = true;
     }
   }
-  for (std::size_t i = 0; i < purged.size(); ++i) {
-    finish_rejected(purged[i], purge_reasons[i]);
-  }
+  for (auto& [pending, reason] : purged) finish_rejected(pending, reason);
   if (notify) cv_.notify_all();
   return future;
 }
@@ -255,25 +240,11 @@ void SegmentService::dispatcher_loop() {
     // complete with DeadlineExpired without waiting for resume(); neither
     // ever reaches the pipeline.
     const Clock::time_point now = Clock::now();
-    std::vector<Pending> swept;
-    std::vector<RejectReason> swept_reasons;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      const bool cancelled = it->req.cancel && it->req.cancel->cancelled();
-      const bool expired = it->req.deadline && *it->req.deadline <= now;
-      if (cancelled || expired) {
-        swept_reasons.push_back(cancelled ? RejectReason::kCancelled
-                                          : RejectReason::kDeadlineExpired);
-        swept.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::vector<std::pair<Pending, RejectReason>> swept =
+        sweep_dead_locked(now);
     if (!swept.empty()) {
       lk.unlock();
-      for (std::size_t i = 0; i < swept.size(); ++i) {
-        finish_rejected(swept[i], swept_reasons[i]);
-      }
+      for (auto& [pending, reason] : swept) finish_rejected(pending, reason);
       lk.lock();
       continue;  // re-evaluate state after re-locking
     }
@@ -298,6 +269,24 @@ void SegmentService::dispatcher_loop() {
     if (!batch.empty()) run_batch(std::move(batch));
     lk.lock();
   }
+}
+
+std::vector<std::pair<SegmentService::Pending, RejectReason>>
+SegmentService::sweep_dead_locked(Clock::time_point now) {
+  std::vector<std::pair<Pending, RejectReason>> dead;
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    const bool cancelled = it->req.cancel && it->req.cancel->cancelled();
+    const bool expired = it->req.deadline && *it->req.deadline <= now;
+    if (cancelled || expired) {
+      dead.emplace_back(std::move(*it), cancelled
+                                            ? RejectReason::kCancelled
+                                            : RejectReason::kDeadlineExpired);
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return dead;
 }
 
 std::vector<SegmentService::Pending> SegmentService::pop_batch_locked() {

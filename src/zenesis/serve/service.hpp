@@ -53,6 +53,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "zenesis/core/error.hpp"
@@ -106,8 +107,8 @@ struct Request {
   /// dispatch time. A queued request then holds a path, not gigabytes of
   /// pixels, so volume traffic cannot memory-bomb the admission queue.
   std::string volume_path;
-  /// Ingestion knobs for `volume_path` (byte-source kind, read limits,
-  /// prefetch); defaults mean auto-selected source with default limits.
+  /// TIFF read limits for `volume_path`; the file is opened through
+  /// TiffVolumeReader::open(path) (mmap where supported, else pread).
   io::TiffOpenOptions tiff_open{};
   std::string prompt;                 ///< kSlice / kVolume text prompt
   std::vector<std::string> prompts;   ///< kMultiObject class prompts
@@ -132,8 +133,7 @@ struct Request {
   /// horizontal predictor) is opened and decoded slice-by-slice when
   /// the request dispatches. A malformed or oversized file produces a
   /// kError response carrying the io::TiffError message; the service
-  /// itself is unaffected. `open` picks the byte source (mmap/pread/
-  /// memory), read limits and prefetch behaviour.
+  /// itself is unaffected. `open` carries the TIFF read limits.
   static Request volume_file(std::string tiff_path, std::string text,
                              io::TiffOpenOptions open = {});
 
@@ -206,9 +206,6 @@ struct ServiceConfig {
   /// Fan-out width inside a batch: 0 = process-global pool, 1 = run on
   /// the dispatcher thread, N > 1 = dedicated pool of N workers.
   std::size_t fanout_threads = 0;
-  /// Start with dispatch paused (admission still runs) — deterministic
-  /// queue buildup for tests and staged warm-up; call resume() to serve.
-  bool start_paused = false;
 
   /// One message per invalid knob (queue/batch bounds plus everything
   /// PipelineConfig::validate reports); empty = valid.
@@ -236,7 +233,7 @@ struct ServiceStats {
   Histogram batch_size;  ///< requests per dispatched batch
 
   /// Resolved tensor kernel backend the service's math runs on
-  /// ("scalar", "blocked", "avx2", "neon"). Snapshot of
+  /// ("scalar", "blocked", "avx2"). Snapshot of
   /// tensor::backend_name() at stats() time.
   std::string kernel_backend;
 
@@ -265,8 +262,10 @@ class SegmentService {
   /// dispatcher. Idempotent and safe to call concurrently.
   void shutdown();
 
-  /// Pause/resume dispatch (admission unaffected). While paused, queued
-  /// deadlines only expire once dispatch resumes.
+  /// Pause/resume dispatch (admission unaffected). The dispatcher starts
+  /// idle, so pause() right after construction gives deterministic queue
+  /// buildup (tests, staged warm-up). While paused the dispatcher still
+  /// sweeps: cancelled and expired entries complete as Rejected.
   void pause();
   void resume();
 
@@ -301,6 +300,11 @@ class SegmentService {
   /// Pops the next micro-batch (priority pivot + compatible slice
   /// requests, admission order). Caller holds mutex_.
   std::vector<Pending> pop_batch_locked();
+  /// Removes cancelled and expired entries from queue_ (admission order),
+  /// each paired with its reject reason. Caller holds mutex_ and finishes
+  /// them after unlocking.
+  std::vector<std::pair<Pending, RejectReason>> sweep_dead_locked(
+      Clock::time_point now);
   void run_batch(std::vector<Pending> batch);
   void run_slice_batch(std::vector<Pending>& batch);
   void run_single(Pending& pending);

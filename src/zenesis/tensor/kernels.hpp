@@ -14,23 +14,23 @@
 //              (2x4-register dot tiles for A·Bᵀ, broadcast-FMA row
 //              panels with a packed-B panel for A·B). Registered only
 //              when CPUID reports AVX2 and FMA.
-//   neon     — AArch64 stub behind the same interface (currently the
-//              blocked kernels under the "neon" name; real NEON
-//              micro-kernels can slot in without touching callers).
+//
+// On AArch64 the blocked kernels are the fast path (the compiler emits
+// NEON code for them at -O2).
 //
 // Selection: the first kernel call resolves the backend from the
 // ZENESIS_KERNEL environment variable ("scalar" | "blocked" | "avx2" |
-// "neon" | "auto"); unset or "auto" picks the best available (avx2 >
-// neon > blocked). tensor::set_backend() overrides at any point.
+// "auto"); unset or "auto" picks the best available (avx2 > blocked).
+// tensor::set_backend() overrides at any point.
 //
 // Determinism contract: WITHIN a backend every kernel uses a fixed
 // per-output reduction order that does not depend on thread count or on
 // where parallel row chunks split, so results are byte-stable across
 // ZenesisPipeline thread configurations (the test_volume_parallel
 // guarantee). ACROSS backends results agree only to rounding (different
-// but fixed accumulation orders); the mask-result cache fingerprint
-// folds the backend name in so cached masks never alias across
-// backends, and tests/test_kernels.cpp gates end-to-end mask IoU/Dice
+// but fixed accumulation orders); every cache key over model output
+// folds the active backend name in (cache::hash_active_kernels) so
+// cached results never alias across backends, and tests/test_kernels.cpp gates end-to-end mask IoU/Dice
 // per backend against the scalar reference.
 
 #include <cstdint>
@@ -116,8 +116,6 @@ const KernelBackend& blocked_backend();
 /// AVX2+FMA backend; nullptr when not compiled in or the CPU lacks
 /// AVX2/FMA.
 const KernelBackend* avx2_backend();
-/// NEON backend stub; nullptr off AArch64.
-const KernelBackend* neon_backend();
 
 /// The backend all ops currently dispatch to. First call resolves
 /// ZENESIS_KERNEL (invalid or unavailable values fall back to the best
@@ -135,14 +133,14 @@ const KernelBackend& resolve_selector(std::string_view value,
 
 }  // namespace kernels
 
-/// Selects the kernel backend by name: "scalar", "blocked", "avx2",
-/// "neon", or "auto" (best available). Returns false — and leaves the
+/// Selects the kernel backend by name: "scalar", "blocked", "avx2", or
+/// "auto" (best available). Returns false — and leaves the
 /// active backend unchanged — when the name is unknown or the backend is
 /// unavailable on this CPU. Process-global and thread-safe (kernels
 /// already running finish on the backend they started with).
 bool set_backend(std::string_view name);
 
-/// Name of the active backend ("scalar" | "blocked" | "avx2" | "neon").
+/// Name of the active backend ("scalar" | "blocked" | "avx2").
 const char* backend_name();
 
 /// Backends usable on this machine, in preference order (best first).
@@ -153,9 +151,7 @@ bool backend_available(std::string_view name);
 
 /// True when `name` names an available backend whose table provides the
 /// int8 kernels (quantize/dequantize/matmul_nt_i8). "auto" reports on
-/// the backend auto-selection would pick. PipelineConfig::validate()
-/// uses this to reject precision="int8" against a backend that cannot
-/// run it.
+/// the backend auto-selection would pick.
 bool backend_supports_int8(std::string_view name);
 
 /// Space-separated SIMD capabilities detected at runtime (e.g.

@@ -296,22 +296,4 @@ constexpr KernelBackend kBlockedBackend = {
 
 const KernelBackend& blocked_backend() { return kBlockedBackend; }
 
-// AArch64 stub: the NEON backend currently reuses the blocked kernels
-// under the "neon" name (the compiler emits NEON code for them at -O2);
-// hand-written NEON micro-kernels can replace entries here without any
-// caller change. Off AArch64 the backend is absent.
-#if defined(__aarch64__)
-namespace {
-constexpr KernelBackend kNeonBackend = {
-    "neon",         b_matmul_nn, b_matmul_nt,   b_dot,           b_axpy,
-    b_add,          b_scale,     b_softmax_row, b_layernorm_row, b_gelu,
-    b_relu,         b_colwise_max,
-    q_quantize_row, q_dequantize_row, q_matmul_nt_i8,
-};
-}  // namespace
-const KernelBackend* neon_backend() { return &kNeonBackend; }
-#else
-const KernelBackend* neon_backend() { return nullptr; }
-#endif
-
 }  // namespace zenesis::tensor::kernels

@@ -12,11 +12,10 @@
 // Precision selection mirrors the kernel-backend dispatch: a process-
 // global Precision resolved lazily from ZENESIS_PRECISION ("fp32" |
 // "int8"; unknown values fall back to fp32 with a one-line stderr note,
-// printed exactly once), overridable via set_precision() or the
-// validated PipelineConfig::precision knob. The resolved name is folded
-// into the mask-cache decode fingerprint AND the feature-cache /
-// disk-store key (cache/feature_cache.cpp), so no cached artifact ever
-// aliases across precisions.
+// printed exactly once), overridable via set_precision(). The active
+// name is read where the mask-cache AND the feature-cache / disk-store
+// keys are built (cache::hash_active_kernels), so no cached artifact
+// ever aliases across precisions.
 
 #include <cstdint>
 #include <memory>

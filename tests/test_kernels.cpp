@@ -16,8 +16,8 @@
 // The int8 quantization path (tensor/quant.hpp) is held to the same
 // three layers, plus two contracts of its own: int8 payloads and scales
 // are bit-identical across backends (the shared single-op scale
-// formulas), and cached artifacts never alias across precisions (the
-// fingerprint / feature-cache key folds).
+// formulas), and cached artifacts never alias across backends or
+// precisions (the mask- and feature-cache keys read the active kernels).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -255,32 +255,56 @@ TEST_F(KernelBackendTest, WithinBackendByteDeterminismAcrossThreadCounts) {
   }
 }
 
-TEST_F(KernelBackendTest, PipelineConfigValidatesBackendKnob) {
-  core::PipelineConfig cfg;
-  cfg.kernel_backend = "not-a-backend";
-  const auto issues = cfg.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("kernel_backend"), std::string::npos);
-  EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);
-
-  cfg.kernel_backend = "scalar";
-  EXPECT_TRUE(cfg.validate().empty());
+/// One repeat of the same Mode-A request, reporting which caches missed.
+struct RepeatOutcome {
+  bool mask_miss;
+  bool encoder_ran;
+};
+RepeatOutcome repeat_request(const core::ZenesisPipeline& pipe,
+                             const fibsem::SyntheticSlice& slice,
+                             const std::string& prompt) {
+  const auto mask_before = pipe.mask_cache_stats().misses;
+  const auto feature_before = pipe.cache_stats().misses;
+  (void)pipe.segment(image::AnyImage(slice.raw), prompt);
+  return {pipe.mask_cache_stats().misses > mask_before,
+          pipe.cache_stats().misses > feature_before};
 }
 
-TEST_F(KernelBackendTest, FingerprintSeparatesBackends) {
-  // Cached masks must never alias across backends: the resolved backend
-  // name is part of the decode fingerprint.
-  core::PipelineConfig scalar_cfg, blocked_cfg, auto_cfg;
-  scalar_cfg.kernel_backend = "scalar";
-  blocked_cfg.kernel_backend = "blocked";
-  EXPECT_NE(core::decode_config_fingerprint(scalar_cfg),
-            core::decode_config_fingerprint(blocked_cfg));
-  // "auto" hashes the resolved name, so it collides with the concrete
-  // spelling of whatever is currently active — by design.
-  ASSERT_TRUE(tensor::set_backend("blocked"));
-  auto_cfg.kernel_backend = "auto";
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(blocked_cfg));
+fibsem::SyntheticSlice small_slice() {
+  fibsem::SynthConfig synth;
+  synth.width = 48;
+  synth.height = 48;
+  synth.depth = 1;
+  synth.seed = 404;
+  return fibsem::generate_slice(synth, 0);
+}
+
+TEST_F(KernelBackendTest, CachesMissAfterBackendSwitch) {
+  // Cached masks and embeddings must never alias across backends (they
+  // agree only to rounding): both cache keys read the active backend
+  // where they are built, so a process-wide switch after the pipeline
+  // was constructed is a clean miss in both caches.
+  const fibsem::SyntheticSlice slice = small_slice();
+  const std::string prompt =
+      fibsem::default_prompt(fibsem::SampleType::kCrystalline);
+  const core::ZenesisPipeline pipe;
+  const std::string first = tensor::backend_name();
+  const std::string other = first == "scalar" ? "blocked" : "scalar";
+
+  (void)repeat_request(pipe, slice, prompt);
+  RepeatOutcome r = repeat_request(pipe, slice, prompt);
+  EXPECT_FALSE(r.mask_miss) << "identical request under " << first;
+
+  ASSERT_TRUE(tensor::set_backend(other));
+  r = repeat_request(pipe, slice, prompt);
+  EXPECT_TRUE(r.mask_miss) << first << " mask served under " << other;
+  EXPECT_TRUE(r.encoder_ran) << first << " embedding served under " << other;
+
+  // Switching back finds the first backend's entries again.
+  ASSERT_TRUE(tensor::set_backend(first));
+  r = repeat_request(pipe, slice, prompt);
+  EXPECT_FALSE(r.mask_miss);
+  EXPECT_FALSE(r.encoder_ran);
 }
 
 TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
@@ -300,19 +324,16 @@ TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
     const fibsem::SyntheticSlice slice = fibsem::generate_slice(synth, 0);
     const std::string prompt = fibsem::default_prompt(type);
 
-    core::PipelineConfig cfg;
-    cfg.kernel_backend = "scalar";
-    const core::ZenesisPipeline ref_pipe(cfg);
+    ASSERT_TRUE(tensor::set_backend("scalar"));
     const core::SliceResult ref =
-        ref_pipe.segment(image::AnyImage(slice.raw), prompt);
+        core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
     const eval::Metrics ref_gt =
         eval::compute_metrics(ref.mask, slice.ground_truth);
 
     for (const auto& backend : fast_backends()) {
-      cfg.kernel_backend = backend;
-      const core::ZenesisPipeline pipe(cfg);
+      ASSERT_TRUE(tensor::set_backend(backend));
       const core::SliceResult got =
-          pipe.segment(image::AnyImage(slice.raw), prompt);
+          core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics m = eval::compute_metrics(got.mask, ref.mask);
       EXPECT_GE(m.iou, 0.99) << backend << " vs scalar, "
                              << fibsem::sample_type_name(type);
@@ -537,41 +558,28 @@ TEST_F(KernelBackendTest, SetPrecisionAndFastPath) {
   EXPECT_FALSE(tensor::quant::precision_available("fp16"));
 }
 
-TEST_F(KernelBackendTest, PipelineConfigValidatesPrecisionKnob) {
-  core::PipelineConfig cfg;
-  cfg.precision = "fp16";
-  const auto issues = cfg.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("precision"), std::string::npos);
-  EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);
-
-  // Every shipped backend provides int8 kernels, so the concrete combos
-  // validate cleanly (the lacking-int8 branch is reachable only through
-  // backend_supports_int8, covered by Int8SupportRegistry).
-  for (const char* p : {"auto", "fp32", "int8"}) {
-    cfg.precision = p;
-    for (const auto& backend : tensor::available_backends()) {
-      cfg.kernel_backend = backend;
-      EXPECT_TRUE(cfg.validate().empty()) << p << " on " << backend;
-    }
-  }
-}
-
-TEST_F(KernelBackendTest, FingerprintSeparatesPrecisions) {
-  // Cached masks must never alias across precisions.
-  core::PipelineConfig fp32_cfg, int8_cfg, auto_cfg;
-  fp32_cfg.precision = "fp32";
-  int8_cfg.precision = "int8";
-  EXPECT_NE(core::decode_config_fingerprint(fp32_cfg),
-            core::decode_config_fingerprint(int8_cfg));
-  // "auto" hashes the resolved name — same rule as the backend knob.
-  ASSERT_TRUE(tensor::quant::set_precision("int8"));
-  auto_cfg.precision = "auto";
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(int8_cfg));
+TEST_F(KernelBackendTest, CachesMissAfterPrecisionSwitch) {
+  // Same contract as CachesMissAfterBackendSwitch for the numeric
+  // precision: fp32 and int8 masks and embeddings never alias.
+  const fibsem::SyntheticSlice slice = small_slice();
+  const std::string prompt =
+      fibsem::default_prompt(fibsem::SampleType::kCrystalline);
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(fp32_cfg));
+  const core::ZenesisPipeline pipe;
+
+  (void)repeat_request(pipe, slice, prompt);
+  RepeatOutcome r = repeat_request(pipe, slice, prompt);
+  EXPECT_FALSE(r.mask_miss) << "identical request under fp32";
+
+  ASSERT_TRUE(tensor::quant::set_precision("int8"));
+  r = repeat_request(pipe, slice, prompt);
+  EXPECT_TRUE(r.mask_miss) << "fp32 mask served under int8";
+  EXPECT_TRUE(r.encoder_ran) << "fp32 embedding served under int8";
+
+  ASSERT_TRUE(tensor::quant::set_precision("fp32"));
+  r = repeat_request(pipe, slice, prompt);
+  EXPECT_FALSE(r.mask_miss);
+  EXPECT_FALSE(r.encoder_ran);
 }
 
 TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
@@ -658,18 +666,17 @@ TEST_F(KernelBackendTest, Int8EndToEndMaskAccuracyPerBackend) {
     const std::string prompt = fibsem::default_prompt(type);
 
     for (const auto& backend : tensor::available_backends()) {
-      core::PipelineConfig cfg;
-      cfg.kernel_backend = backend;
+      ASSERT_TRUE(tensor::set_backend(backend));
 
-      cfg.precision = "fp32";
+      ASSERT_TRUE(tensor::quant::set_precision("fp32"));
       const core::SliceResult ref =
-          core::ZenesisPipeline(cfg).segment(image::AnyImage(slice.raw), prompt);
+          core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics ref_gt =
           eval::compute_metrics(ref.mask, slice.ground_truth);
 
-      cfg.precision = "int8";
+      ASSERT_TRUE(tensor::quant::set_precision("int8"));
       const core::SliceResult got =
-          core::ZenesisPipeline(cfg).segment(image::AnyImage(slice.raw), prompt);
+          core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics m = eval::compute_metrics(got.mask, ref.mask);
       EXPECT_GE(m.iou, 0.99) << backend << " int8 vs fp32, "
                              << fibsem::sample_type_name(type);
@@ -697,8 +704,8 @@ TEST_F(KernelBackendTest, VolumeDeterminismUnderInt8) {
   const std::string prompt =
       fibsem::default_prompt(fibsem::SampleType::kCrystalline);
 
+  ASSERT_TRUE(tensor::quant::set_precision("int8"));
   core::PipelineConfig cfg;
-  cfg.precision = "int8";
   cfg.volume_threads = 1;
   const core::VolumeResult serial = core::ZenesisPipeline(cfg).segment_volume(
       core::VolumeRequest::view(vol.volume, prompt));
@@ -733,8 +740,8 @@ TEST_F(KernelBackendTest, VolumeDeterminismPerBackendAcrossThreadCounts) {
       fibsem::default_prompt(fibsem::SampleType::kCrystalline);
 
   for (const auto& name : tensor::available_backends()) {
+    ASSERT_TRUE(tensor::set_backend(name));
     core::PipelineConfig cfg;
-    cfg.kernel_backend = name;
 
     cfg.volume_threads = 1;
     const core::VolumeResult serial = core::ZenesisPipeline(cfg).segment_volume(

@@ -375,8 +375,8 @@ TEST(Net, WeightedFairnessUnderSaturation) {
   zn::ServerConfig ncfg;
   ncfg.tenants[1] = {1, 256};  // weight 1
   ncfg.tenants[2] = {3, 256};  // weight 3
-  ncfg.start_bridge_paused = true;
   zn::Server server(service, ncfg);
+  server.pause_bridge();
 
   auto [c1, fd1] = zn::Client::loopback_pair();
   auto [c2, fd2] = zn::Client::loopback_pair();
@@ -435,8 +435,8 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
   zn::ServerConfig ncfg;
   ncfg.tenants[1] = {1, 2};  // quota: 2 queued requests
   ncfg.shed_backlog = 3;     // global cap across tenants
-  ncfg.start_bridge_paused = true;
   zn::Server server(service, ncfg);
+  server.pause_bridge();
 
   auto [c1, fd1] = zn::Client::loopback_pair();
   auto [c2, fd2] = zn::Client::loopback_pair();
@@ -494,9 +494,8 @@ TEST(Net, StatsFlowIntoDashboardOnce) {
   zenesis::core::Session session;
   zs::SegmentService service;
   service.attach_to(session);
-  zn::ServerConfig cfg;
-  cfg.start_bridge_paused = true;  // keeps request 7 pending for the dup
-  zn::Server server(service, cfg);
+  zn::Server server(service, {});
+  server.pause_bridge();  // keeps request 7 pending for the dup
   server.attach_to(session);
 
   {

@@ -99,11 +99,28 @@ TEST(NetFaults, SlowLorisTimesOutWithoutHurtingHealthyClients) {
   ASSERT_TRUE(wait_until([&] { return server.stats().connections_active == 1; }));
 }
 
+TEST(NetFaults, RequestBeforeHelloGetsErrorAndClose) {
+  // Hello is always required: a request frame on a fresh connection gets
+  // one Error frame, the connection closes, and the service never sees
+  // the request.
+  zs::SegmentService service;
+  zn::Server server(service, {});
+  auto [client, server_fd] = zn::Client::loopback_pair();
+  server.adopt(server_fd);
+  ASSERT_NE(client.submit_slice(make_image(24, 3), kPrompt), 0u);
+
+  const auto seen = drain_to_eof(client, 3000ms);
+  EXPECT_TRUE(client.peer_closed());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].type, zn::FrameType::kError);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
 TEST(NetFaults, AbruptDisconnectFreesQueuedAndInflightSlots) {
   zs::SegmentService service;
-  zn::ServerConfig cfg;
-  cfg.start_bridge_paused = true;
-  zn::Server server(service, cfg);
+  zn::Server server(service, {});
+  server.pause_bridge();
 
   {
     auto [client, server_fd] = zn::Client::loopback_pair();
@@ -185,9 +202,8 @@ TEST(NetFaults, ZeroLengthPayloadOnRequestFrameIsACleanError) {
 
 TEST(NetFaults, CancelOfQueuedRequestYieldsExactlyOneRejectedFrame) {
   zs::SegmentService service;
-  zn::ServerConfig cfg;
-  cfg.start_bridge_paused = true;
-  zn::Server server(service, cfg);
+  zn::Server server(service, {});
+  server.pause_bridge();
 
   auto [client, server_fd] = zn::Client::loopback_pair();
   server.adopt(server_fd);
@@ -265,9 +281,8 @@ TEST(NetFaults, HalfClosedSocketStillReceivesItsResponses) {
 }
 
 TEST(NetFaults, ExpiredDeadlineComesBackAsRejectedFrame) {
-  zs::ServiceConfig scfg;
-  scfg.start_paused = true;  // deadlines expire while dispatch is held
-  zs::SegmentService service(scfg);
+  zs::SegmentService service;
+  service.pause();  // deadlines expire while dispatch is held
   zn::Server server(service, {});
 
   auto [client, server_fd] = zn::Client::loopback_pair();
@@ -292,8 +307,8 @@ TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
   zs::SegmentService service;
   zn::ServerConfig cfg;
   cfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
-  cfg.start_bridge_paused = true;
   zn::Server server(service, cfg);
+  server.pause_bridge();
 
   auto [client, server_fd] = zn::Client::loopback_pair();
   server.adopt(server_fd);

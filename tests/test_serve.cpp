@@ -78,9 +78,9 @@ TEST(Serve, SliceResponsesMatchBlockingPipeline) {
       zs::ServiceConfig cfg;
       cfg.max_batch = max_batch;
       cfg.fanout_threads = fanout;
-      cfg.start_paused = true;  // admit everything, then one resume —
-                                // exercises real micro-batch grouping
       zs::SegmentService service(cfg);
+      service.pause();  // admit everything, then one resume —
+                        // exercises real micro-batch grouping
       std::vector<std::future<zs::Response>> futures;
       for (const std::size_t idx : traffic) {
         futures.push_back(service.submit(
@@ -153,8 +153,8 @@ TEST(Serve, FullQueueRejectsInsteadOfBlocking) {
   const auto s = make_slice(48, 5);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 3;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   std::vector<std::future<zs::Response>> admitted;
   for (int i = 0; i < 3; ++i) {
@@ -183,9 +183,8 @@ TEST(Serve, FullQueueRejectsInsteadOfBlocking) {
 // (c) Expired deadlines never reach the pipeline.
 TEST(Serve, ExpiredDeadlineCompletesWithoutRunningPipeline) {
   const auto s = make_slice(48, 6);
-  zs::ServiceConfig cfg;
-  cfg.start_paused = true;
-  zs::SegmentService service(cfg);
+  zs::SegmentService service;
+  service.pause();
 
   // Already expired at submit.
   auto pre = service.submit(
@@ -212,9 +211,8 @@ TEST(Serve, ExpiredDeadlineCompletesWithoutRunningPipeline) {
 // (d) Shutdown drains admitted work, then rejects.
 TEST(Serve, ShutdownDrainsInFlightAndRejectsNew) {
   const auto s = make_slice(48, 8);
-  zs::ServiceConfig cfg;
-  cfg.start_paused = true;
-  zs::SegmentService service(cfg);
+  zs::SegmentService service;
+  service.pause();
 
   std::vector<std::future<zs::Response>> admitted;
   for (int i = 0; i < 4; ++i) {
@@ -239,9 +237,8 @@ TEST(Serve, ShutdownDrainsInFlightAndRejectsNew) {
 
 TEST(Serve, CancelTokenRejectsBeforeDispatch) {
   const auto s = make_slice(48, 9);
-  zs::ServiceConfig cfg;
-  cfg.start_paused = true;
-  zs::SegmentService service(cfg);
+  zs::SegmentService service;
+  service.pause();
 
   auto token = std::make_shared<zs::CancelToken>();
   auto cancelled = service.submit(
@@ -260,8 +257,8 @@ TEST(Serve, PriorityJumpsTheQueue) {
   const auto s = make_slice(48, 10);
   zs::ServiceConfig cfg;
   cfg.max_batch = 1;  // dispatch one at a time → completion order observable
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   auto low = service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt));
   auto high = service.submit(
@@ -293,7 +290,6 @@ TEST(Serve, PublishesStatsIntoDashboardViaSession) {
   ASSERT_TRUE(stats.count("serve_total_us_p50"));
   EXPECT_GT(stats.at("serve_total_us_p50"), 0.0);
   ASSERT_TRUE(stats.count("feature_cache_hits"));
-  // No clear_stats_sources needed: attach_to is a scoped registration.
 }
 
 // Regression: attach_to must not leave a dangling source behind — a
@@ -323,8 +319,8 @@ TEST(Serve, MalformedSliceRequestFailsWithoutKillingTheBatch) {
   const auto s = make_slice(48, 14);
   zs::ServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.start_paused = true;  // both requests join one micro-batch
   zs::SegmentService service(cfg);
+  service.pause();  // both requests join one micro-batch
 
   auto bad = service.submit(zs::Request::slice(zi::AnyImage(), kPrompt));
   auto good = service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt));
@@ -354,8 +350,8 @@ TEST(Serve, CancellationRelievesQueueFullBackpressure) {
   const auto s = make_slice(48, 15);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 2;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   auto token = std::make_shared<zs::CancelToken>();
   auto doomed = service.submit(

@@ -107,10 +107,11 @@ TEST(Session, ModeCEvaluateAutoPublishesRuntimeStats) {
 TEST(Session, StatsSourcesFoldIntoDashboard) {
   zc::Session session;
   int calls = 0;
-  session.add_stats_source([&calls](zenesis::eval::Dashboard& d) {
-    ++calls;
-    d.set_stat("custom_source_stat", 42.0);
-  });
+  zc::StatsRegistration reg =
+      session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
+        ++calls;
+        d.set_stat("custom_source_stat", 42.0);
+      });
   const auto s = zf::generate_slice(test_config(zf::SampleType::kAmorphous), 0);
   const auto r = session.mode_a_segment(
       zi::AnyImage(s.raw), zf::default_prompt(zf::SampleType::kAmorphous));
@@ -121,7 +122,7 @@ TEST(Session, StatsSourcesFoldIntoDashboard) {
   // The explicit method remains as a compatible alias.
   session.publish_runtime_stats();
   EXPECT_EQ(calls, 2);
-  session.clear_stats_sources();
+  reg.reset();
   session.publish_runtime_stats();
   EXPECT_EQ(calls, 2);
 }

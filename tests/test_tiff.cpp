@@ -155,6 +155,7 @@ TEST(Tiff, BigEndianHeaderParses) {
 
 #include <tuple>
 
+#include "byte_sources.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 
 namespace {
@@ -423,12 +424,8 @@ TEST_P(TiffRoundTripSweep, PixelsSurviveExactly) {
   // pread copies and the slurped memory buffer share one decode path).
   const std::string path = temp_path("zen_sweep_case.tif");
   zio::write_tiff(path, stack, opt);
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
-    const auto from_file = zio::TiffVolumeReader::open(path, oo);
+  for (const auto& kind : zenesis::test::file_source_kinds()) {
+    const auto from_file = zio::TiffVolumeReader::open(kind.open(path));
     ASSERT_EQ(from_file.pages(), pages);
     for (std::int64_t p = 0; p < pages; ++p) {
       const auto idx = static_cast<std::size_t>(p);
@@ -442,7 +439,7 @@ TEST_P(TiffRoundTripSweep, PixelsSurviveExactly) {
             ASSERT_EQ(pg.size(), pw.size());
             for (std::size_t i = 0; i < pw.size(); ++i) {
               ASSERT_EQ(pg[i], pw[i])
-                  << "source " << zio::to_string(kind) << ", page " << p;
+                  << "source " << kind.name << ", page " << p;
             }
           },
           stack.pages[idx]);

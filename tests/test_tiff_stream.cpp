@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "byte_sources.hpp"
 #include "zenesis/core/session.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/io/tiff.hpp"
@@ -196,17 +197,20 @@ TEST(TiffStream, ParseTimeLimitEnforcement) {
 }
 
 TEST(TiffStream, MissingFileThrowsTiffError) {
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
+  const std::string missing = temp_path("zen_no_such_file.tif");
+  for (const auto& kind : zenesis::test::file_source_kinds()) {
     try {
-      (void)zio::TiffVolumeReader::open(temp_path("zen_no_such_file.tif"), oo);
-      FAIL() << "expected TiffError for kind " << zio::to_string(kind);
+      (void)zio::TiffVolumeReader::open(kind.open(missing));
+      FAIL() << "expected TiffError for source " << kind.name;
     } catch (const zio::TiffError& e) {
       EXPECT_EQ(e.kind(), zio::TiffErrorKind::kTruncated);
     }
+  }
+  try {
+    (void)zio::TiffVolumeReader::open(missing);
+    FAIL() << "expected TiffError from open(path)";
+  } catch (const zio::TiffError& e) {
+    EXPECT_EQ(e.kind(), zio::TiffErrorKind::kTruncated);
   }
 }
 
@@ -228,46 +232,15 @@ TEST(TiffStream, SourceKindsDecodeByteIdentically) {
   zio::write_tiff(f.path, stack, opt);
 
   const zio::TiffStack want = zio::read_tiff(f.path);
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
-    const auto reader = zio::TiffVolumeReader::open(f.path, oo);
-    // kMmap may legitimately resolve to kPread on platforms without
-    // mmap; everything else resolves to itself.
-    if (kind == zio::TiffSourceKind::kMmap && zio::MmapByteSource::supported()) {
-      EXPECT_EQ(reader.source_kind(), zio::TiffSourceKind::kMmap);
-    } else if (kind != zio::TiffSourceKind::kMmap) {
-      EXPECT_EQ(reader.source_kind(), kind);
-    }
+  for (const auto& kind : zenesis::test::file_source_kinds()) {
+    SCOPED_TRACE(kind.name);
+    const auto reader = zio::TiffVolumeReader::open(kind.open(f.path));
     ASSERT_EQ(reader.pages(), 2);
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       expect_pages_equal<std::uint16_t>(reader.read_page(p),
                                         want.pages[static_cast<std::size_t>(p)]);
     }
   }
-}
-
-TEST(TiffStream, SourceSelectorResolvesAndWarns) {
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kAuto, zio::TiffSourceKind::kMemory,
-        zio::TiffSourceKind::kPread, zio::TiffSourceKind::kMmap}) {
-    const auto parsed = zio::parse_source_kind(zio::to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << zio::to_string(kind);
-    EXPECT_EQ(*parsed, kind);
-    std::string warning = "sentinel";
-    EXPECT_EQ(zio::resolve_tiff_source_selector(zio::to_string(kind), &warning),
-              kind);
-    EXPECT_TRUE(warning.empty());
-  }
-  EXPECT_FALSE(zio::parse_source_kind("fastest").has_value());
-  std::string warning;
-  EXPECT_EQ(zio::resolve_tiff_source_selector("fastest", &warning),
-            zio::TiffSourceKind::kAuto);
-  EXPECT_NE(warning.find("fastest"), std::string::npos) << warning;
-  // The process default is always concrete.
-  EXPECT_NE(zio::default_source_kind(), zio::TiffSourceKind::kAuto);
 }
 
 // Regression for the old seek-mutex FileByteSource: N threads hammering
@@ -318,14 +291,10 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
 // to the request's one ingestion-policy field untouched.
 TEST(TiffStream, VolumeRequestCarriesOpenOptions) {
   zio::TiffOpenOptions oo;
-  oo.source_kind = zio::TiffSourceKind::kPread;
   oo.limits.max_pages = 7;
-  oo.prefetch = false;
   const zc::VolumeRequest r = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt, oo);
   EXPECT_TRUE(r.validate().empty());
-  EXPECT_EQ(r.tiff_open.source_kind, zio::TiffSourceKind::kPread);
   EXPECT_EQ(r.tiff_open.limits.max_pages, 7u);
-  EXPECT_FALSE(r.tiff_open.prefetch);
 }
 
 // --- the ISSUE-4 acceptance test ----------------------------------------
@@ -391,10 +360,8 @@ TEST(TiffStream, ServeVolumeFileMatchesBlockingPath) {
       zc::VolumeRequest::in_memory(zio::read_volume_tiff_u16(f.path), kPrompt));
 
   zs::SegmentService service;
-  zio::TiffOpenOptions oo;
-  oo.source_kind = zio::TiffSourceKind::kPread;  // exercise the knob end to end
   const zs::Response r =
-      service.submit(zs::Request::volume_file(f.path, kPrompt, oo)).get();
+      service.submit(zs::Request::volume_file(f.path, kPrompt)).get();
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_TRUE(r.volume.has_value());
   ASSERT_EQ(r.volume->slices.size(), want.slices.size());

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -205,18 +206,15 @@ int run_bench() {
     }
     const std::uint64_t naive_rss_peak = read_proc_status_bytes("VmHWM");
 
-    // Streaming path, full materialization: zero-copy mmap views, pages
-    // decoded in parallel on the global ThreadPool.
+    // Streaming path, full materialization: zero-copy mmap views (pread
+    // where mmap is unsupported — what open(path) builds), pages decoded
+    // in parallel on the global ThreadPool.
     double stream_best = 0.0;
-    zio::TiffSourceKind resolved = zio::TiffSourceKind::kAuto;
     reset_peak_rss();
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      zio::TiffOpenOptions oopt;
-      oopt.source_kind = zio::TiffSourceKind::kMmap;
       const zio::TiffVolumeReader reader =
-          zio::TiffVolumeReader::open(file.string(), oopt);
-      resolved = reader.source_kind();
+          zio::TiffVolumeReader::open(file.string());
       const auto out = reader.read_volume_u16();
       const double pps = static_cast<double>(out.depth()) /
                          std::max(seconds_since(t0), 1e-9);
@@ -232,10 +230,8 @@ int run_bench() {
     double first_slice_s = 1e30;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      zio::TiffOpenOptions oopt;
-      oopt.source_kind = zio::TiffSourceKind::kMmap;
       const zio::TiffVolumeReader reader =
-          zio::TiffVolumeReader::open(file.string(), oopt);
+          zio::TiffVolumeReader::open(file.string());
       const auto img = reader.read_page_u16(0);
       first_slice_s = std::min(first_slice_s, std::max(seconds_since(t0), 1e-9));
     }
@@ -265,7 +261,8 @@ int run_bench() {
     cr.set("speedup_first_slice", first_speedup);
     cr.set("naive_rss_peak_bytes", static_cast<std::int64_t>(naive_rss_peak));
     cr.set("rss_peak_bytes", static_cast<std::int64_t>(stream_rss_peak));
-    cr.set("source_kind", std::string(zio::to_string(resolved)));
+    cr.set("source_kind",
+           std::string(zio::MmapByteSource::supported() ? "mmap" : "pread"));
     codec_records.push_back(std::move(cr));
 
     std::printf("%-13s file=%8.2f MiB  naive=%7.1f p/s  stream=%7.1f p/s "
@@ -314,10 +311,8 @@ int run_bench() {
     const std::uint64_t rss_before = read_proc_status_bytes("VmRSS");
     std::uint64_t rss_peak = rss_before;
     std::uint64_t checksum = 0;
-    zio::TiffOpenOptions oopt;
-    oopt.source_kind = zio::TiffSourceKind::kPread;
-    const zio::TiffVolumeReader reader =
-        zio::TiffVolumeReader::open(file.string(), oopt);
+    const zio::TiffVolumeReader reader = zio::TiffVolumeReader::open(
+        std::make_shared<zio::PreadByteSource>(file.string()));
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       const auto img = reader.read_page_u16(p);
       checksum += img.at(0, 0) + img.at(flat_side - 1, flat_side - 1);
