@@ -55,17 +55,6 @@ void BM_MatmulNt(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNt)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_Attention(benchmark::State& state) {
-  const auto l = state.range(0);
-  const tensor::Tensor q = tensor::xavier_uniform(l, 64, 2, 1);
-  const tensor::Tensor k = tensor::xavier_uniform(l, 64, 2, 2);
-  const tensor::Tensor v = tensor::xavier_uniform(l, 64, 2, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::attention(q, k, v));
-  }
-}
-BENCHMARK(BM_Attention)->Arg(256)->Arg(1024);
-
 /// RAII guard: forces a kernel backend for one benchmark, restores the
 /// previous selection on scope exit.
 class ScopedBackend {
@@ -119,21 +108,24 @@ void BM_GemmInt8(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 
-/// Attention per kernel backend (scores GEMM + softmax + value GEMM).
-void BM_AttentionBackend(benchmark::State& state, const std::string& backend) {
+/// Attention per kernel backend (scores GEMM + softmax + value GEMM)
+/// over 64-dim tokens split into `heads` heads. One head is the
+/// single-head operator; four heads at 1024 and 4096 tokens are the
+/// encoder's shape on 256² and 512² slices (one token per 8-px patch).
+void BM_AttentionBackend(benchmark::State& state, const std::string& backend,
+                         int heads) {
   const ScopedBackend scoped(backend);
   const auto l = state.range(0);
   const tensor::Tensor q = tensor::xavier_uniform(l, 64, 2, 1);
   const tensor::Tensor k = tensor::xavier_uniform(l, 64, 2, 2);
   const tensor::Tensor v = tensor::xavier_uniform(l, 64, 2, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::attention(q, k, v));
+    benchmark::DoNotOptimize(tensor::multihead_attention(q, k, v, heads));
   }
 }
 
-/// One BM_Gemm + BM_AttentionBackend family per available backend; the
-/// backend is part of the benchmark name so --benchmark_filter=avx2
-/// works.
+/// One BM_Gemm + attention family per available backend; the backend
+/// is part of the benchmark name so --benchmark_filter=avx2 works.
 void register_kernel_benchmarks() {
   for (const auto& backend : tensor::available_backends()) {
     for (const char* op : {"matmul", "matmul_nt", "linear"}) {
@@ -156,9 +148,15 @@ void register_kernel_benchmarks() {
     }
     benchmark::RegisterBenchmark(
         ("BM_Attention/" + backend).c_str(),
-        [backend](benchmark::State& s) { BM_AttentionBackend(s, backend); })
+        [backend](benchmark::State& s) { BM_AttentionBackend(s, backend, 1); })
         ->Arg(256)
         ->Arg(1024);
+    benchmark::RegisterBenchmark(
+        ("BM_MultiheadAttention/" + backend).c_str(),
+        [backend](benchmark::State& s) { BM_AttentionBackend(s, backend, 4); })
+        ->Arg(1024)
+        ->Arg(4096)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

@@ -157,6 +157,9 @@ ZenesisPipeline::ZenesisPipeline(const PipelineConfig& cfg)
       mask_cache_(std::make_unique<cache::ShardedLruCache<SliceResult>>(
           cfg.mask_cache)),
       decode_fingerprint_(decode_config_fingerprint(cfg_)),
+      shared_backbone_(
+          cache::hash_backbone_config(dino_.backbone().config()) ==
+          cache::hash_backbone_config(sam_.backbone().config())),
       pool_(cfg.volume_threads > 1
                 ? std::make_unique<parallel::ThreadPool>(cfg.volume_threads)
                 : nullptr) {}
@@ -210,7 +213,11 @@ SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
     obs::Span span("dino.detect");
     return dino_.detect(enc->maps, enc->enc, prompt);
   }();
-  SliceResult res = assemble(ready, std::move(g));
+  // Decode reuses the grounding encoding when the two backbones are
+  // configured alike (the default); otherwise SAM encodes under its own.
+  SliceResult res = shared_backbone_
+                        ? assemble(ready, std::move(g), *enc)
+                        : assemble(ready, std::move(g), *encode_cached(ready));
   if (memoize) {
     mask_cache_->put(key, std::make_shared<const SliceResult>(res),
                      slice_result_bytes(res));
@@ -239,12 +246,13 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
     }
   }
   SliceResult res = [&] {
+    const auto enc = encode_cached(ready);
     if (text_ranked) {
-      return assemble(ready, dino_.ground_box(box, *opts.prompt));
+      return assemble(ready, dino_.ground_box(box, *opts.prompt), *enc);
     }
     models::GroundingResult g;
     g.boxes.push_back({box, 1.0});
-    return assemble(ready, std::move(g));
+    return assemble(ready, std::move(g), *enc);
   }();
   if (memoize) {
     mask_cache_->put(key, std::make_shared<const SliceResult>(res),
@@ -329,12 +337,11 @@ class AlignmentScorer {
 }  // namespace
 
 SliceResult ZenesisPipeline::assemble(image::ImageF32 ready,
-                                      models::GroundingResult grounding) const {
+                                      models::GroundingResult grounding,
+                                      const models::SamEncoded& enc) const {
   obs::Span span("sam.decode", grounding.boxes.size());
   SliceResult res;
   res.mask = image::Mask(ready.width(), ready.height());
-  const auto enc_ptr = encode_cached(ready);
-  const models::SamEncoded& enc = *enc_ptr;
   const bool have_relevance = grounding.has_direction;
   const int k = std::max(1, cfg_.max_boxes);
   const std::size_t n =

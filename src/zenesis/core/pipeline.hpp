@@ -246,9 +246,11 @@ class ZenesisPipeline {
   VolumeResult run_volume(const VolumeSource& source,
                           const std::string& prompt) const;
 
-  /// Runs SAM over the top-k grounded boxes and unions the masks.
+  /// Runs SAM over the top-k grounded boxes of `ready`, encoded as
+  /// `enc` under the SAM backbone, and unions the masks.
   SliceResult assemble(image::ImageF32 ready,
-                       models::GroundingResult grounding) const;
+                       models::GroundingResult grounding,
+                       const models::SamEncoded& enc) const;
 
   /// Pool used for Mode-B slice scheduling (global or dedicated).
   parallel::ThreadPool& volume_pool() const;
@@ -269,6 +271,9 @@ class ZenesisPipeline {
   /// the request. Internally synchronized.
   std::unique_ptr<cache::ShardedLruCache<SliceResult>> mask_cache_;
   std::uint64_t decode_fingerprint_ = 0;
+  /// The grounding and SAM backbones share a feature-cache key, so one
+  /// encoding serves both stages of a request.
+  bool shared_backbone_ = false;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< only when volume_threads > 1
 };
 

@@ -1,14 +1,15 @@
 // ops.cpp — shape checking, output allocation and ThreadPool tiling for
 // the public tensor ops. All arithmetic lives in the active
-// tensor::kernels::KernelBackend; every function here is a thin
-// forwarder that splits row/element ranges onto parallel_for and hands
-// raw pointers to the backend micro-kernels.
+// tensor::kernels::KernelBackend; every function here splits row/element
+// ranges onto parallel_for and hands raw pointers to the backend
+// micro-kernels (attention chains four of them per block of rows).
 
 #include "zenesis/tensor/ops.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/kernels.hpp"
@@ -224,41 +225,128 @@ void relu_inplace(Tensor& a) {
                   [&](float* p, std::int64_t n) { backend.relu(p, n); });
 }
 
+namespace {
+
+// Query rows per attention work item. Equal to kGemmRowGrain, so a block
+// starts exactly where a row chunk of the standalone GEMMs would:
+// each output row then sees the same register-tile grouping — and the
+// same bits — as matmul_nt → scale → softmax → matmul over the full
+// score matrix. At 4096 keys a block's fp32 scores are 512 KiB, which
+// stays in L2 between the four passes.
+constexpr std::int64_t kAttentionRowBlock = kGemmRowGrain;
+
+/// Per-worker buffers of one attention block; grown once, reused by
+/// every later block the thread runs.
+struct AttentionScratch {
+  std::vector<float> q;          // [block, dh] query rows of one head
+  std::vector<std::int8_t> q8;   // [block, dh] quantized query rows
+  std::vector<float> q_scales;   // [block]
+  std::vector<float> scores;     // [block, lk]
+  std::vector<float> out;        // [block, dvh]
+};
+
+/// Copies the `heads` column groups of t [L, heads*w] into a head-major
+/// [heads, L, w] buffer, one row copy per (head, row).
+std::vector<float> split_heads(const Tensor& t, int heads) {
+  const std::int64_t rows = t.dim(0), w = t.dim(1) / heads;
+  std::vector<float> packed(static_cast<std::size_t>(t.numel()));
+  for (int h = 0; h < heads; ++h) {
+    float* dst = packed.data() + h * rows * w;
+    for (std::int64_t i = 0; i < rows; ++i) {
+      std::copy_n(t.row(i) + h * w, w, dst + i * w);
+    }
+  }
+  return packed;
+}
+
+}  // namespace
+
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  require(q.dim(1) == k.dim(1), "attention: q/k feature mismatch");
-  require(k.dim(0) == v.dim(0), "attention: k/v length mismatch");
-  // Under int8 the scores GEMM — the largest single matmul in the
-  // encoder at 1024 tokens — quantizes both operands dynamically. The
-  // softmax and the scores·V matmul stay fp32 for accuracy.
-  Tensor scores = quant::int8_fast_path() ? matmul_nt_dyn_quantized(q, k)
-                                          : matmul_nt(q, k);
-  scale_inplace(scores, 1.0f / std::sqrt(static_cast<float>(q.dim(1))));
-  softmax_rows(scores);
-  return matmul(scores, v);
+  return multihead_attention(q, k, v, 1);
 }
 
 Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                            int heads) {
+  require_rank2(q, "attention: q must be rank 2");
+  require_rank2(k, "attention: k must be rank 2");
+  require_rank2(v, "attention: v must be rank 2");
+  require(q.dim(1) == k.dim(1), "attention: q/k feature mismatch");
+  require(k.dim(0) == v.dim(0), "attention: k/v length mismatch");
   require(heads > 0, "multihead_attention: heads must be positive");
   require(q.dim(1) % heads == 0, "multihead_attention: d % heads != 0");
   require(v.dim(1) % heads == 0, "multihead_attention: dv % heads != 0");
   const std::int64_t lq = q.dim(0), lk = k.dim(0);
   const std::int64_t dh = q.dim(1) / heads, dvh = v.dim(1) / heads;
-  Tensor out({lq, v.dim(1)});
-  for (int h = 0; h < heads; ++h) {
-    Tensor qh({lq, dh}), kh({lk, dh}), vh({lk, dvh});
-    for (std::int64_t i = 0; i < lq; ++i) {
-      for (std::int64_t j = 0; j < dh; ++j) qh.at(i, j) = q.at(i, h * dh + j);
-    }
-    for (std::int64_t i = 0; i < lk; ++i) {
-      for (std::int64_t j = 0; j < dh; ++j) kh.at(i, j) = k.at(i, h * dh + j);
-      for (std::int64_t j = 0; j < dvh; ++j) vh.at(i, j) = v.at(i, h * dvh + j);
-    }
-    Tensor oh = attention(qh, kh, vh);
-    for (std::int64_t i = 0; i < lq; ++i) {
-      for (std::int64_t j = 0; j < dvh; ++j) out.at(i, h * dvh + j) = oh.at(i, j);
+  const kernels::KernelBackend& backend = be();
+  // Under int8 the scores GEMM quantizes both operands per row: K once
+  // per head here, each Q row inside its block. The softmax and the
+  // scores·V matmul stay fp32 for accuracy.
+  const bool int8 = quant::int8_fast_path() && backend.matmul_nt_i8 != nullptr;
+  const std::vector<float> kp = split_heads(k, heads);
+  const std::vector<float> vp = split_heads(v, heads);
+  std::vector<std::int8_t> k8;
+  std::vector<float> k_scales;
+  if (int8) {
+    k8.resize(kp.size());
+    k_scales.resize(static_cast<std::size_t>(heads * lk));
+    for (std::int64_t r = 0; r < heads * lk; ++r) {
+      backend.quantize_row(kp.data() + r * dh, k8.data() + r * dh,
+                           &k_scales[static_cast<std::size_t>(r)], dh);
     }
   }
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(dh));
+  const std::int64_t blocks =
+      (lq + kAttentionRowBlock - 1) / kAttentionRowBlock;
+  Tensor out({lq, v.dim(1)});
+  // One work item per (head, row block): scores for the block's rows
+  // against every key, scaled, softmaxed and multiplied into V without
+  // leaving the worker's scratch, so memory is O(block × Lk) per worker
+  // instead of an [Lq, Lk] matrix per head.
+  parallel::parallel_for_chunked(
+      0, heads * blocks, 1, [&](std::int64_t item0, std::int64_t item1) {
+        thread_local AttentionScratch s;
+        s.q.resize(static_cast<std::size_t>(kAttentionRowBlock * dh));
+        s.scores.resize(static_cast<std::size_t>(kAttentionRowBlock * lk));
+        s.out.resize(static_cast<std::size_t>(kAttentionRowBlock * dvh));
+        if (int8) {
+          s.q8.resize(s.q.size());
+          s.q_scales.resize(static_cast<std::size_t>(kAttentionRowBlock));
+        }
+        for (std::int64_t item = item0; item < item1; ++item) {
+          const std::int64_t h = item / blocks;
+          const std::int64_t r0 = (item % blocks) * kAttentionRowBlock;
+          const std::int64_t rows = std::min(lq, r0 + kAttentionRowBlock) - r0;
+          for (std::int64_t i = 0; i < rows; ++i) {
+            std::copy_n(q.row(r0 + i) + h * dh, dh, s.q.data() + i * dh);
+          }
+          float* scores = s.scores.data();
+          if (int8) {
+            for (std::int64_t i = 0; i < rows; ++i) {
+              backend.quantize_row(s.q.data() + i * dh, s.q8.data() + i * dh,
+                                   &s.q_scales[static_cast<std::size_t>(i)],
+                                   dh);
+            }
+            backend.matmul_nt_i8(s.q8.data(), s.q_scales.data(),
+                                 k8.data() + h * lk * dh,
+                                 k_scales.data() + h * lk, nullptr, scores, 0,
+                                 rows, dh, lk);
+          } else {
+            backend.matmul_nt(s.q.data(), kp.data() + h * lk * dh, nullptr,
+                              scores, 0, rows, dh, lk);
+          }
+          backend.scale(scores, inv_sqrt_d, rows * lk);
+          if (lk > 0) {
+            for (std::int64_t i = 0; i < rows; ++i) {
+              backend.softmax_row(scores + i * lk, lk);
+            }
+          }
+          backend.matmul_nn(scores, vp.data() + h * lk * dvh, s.out.data(), 0,
+                            rows, lk, dvh);
+          for (std::int64_t i = 0; i < rows; ++i) {
+            std::copy_n(s.out.data() + i * dvh, dvh, out.row(r0 + i) + h * dvh);
+          }
+        }
+      });
   return out;
 }
 

@@ -79,11 +79,16 @@ void relu_inplace(Tensor& a);
 /// Scaled dot-product attention: softmax(Q Kᵀ / sqrt(d)) V.
 /// q: [Lq, d], k: [Lk, d], v: [Lk, dv] → [Lq, dv].
 /// This is the cross-modal relevance operator from the paper's Sec. 4.
+/// Same as multihead_attention(q, k, v, 1).
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v);
 
 /// Multi-head attention over pre-projected inputs. q,k,v as in
-/// `attention`; d must be divisible by `heads`. Heads are processed
-/// independently and concatenated.
+/// `attention`; d and dv must be divisible by `heads`. Heads are
+/// processed independently and concatenated. Runs in blocks of query
+/// rows, so working memory is O(block × Lk) per worker — no [Lq, Lk]
+/// score matrix is built — and the result is byte-identical to
+/// matmul_nt (or matmul_nt_dyn_quantized under int8) → scale_inplace →
+/// softmax_rows → matmul per head.
 Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                            int heads);
 

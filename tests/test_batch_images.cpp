@@ -92,9 +92,11 @@ TEST(BatchImages, RepeatedRunsAreDeterministic) {
   const std::vector<image::AnyImage> images = mixed_batch();
   const core::ZenesisPipeline pipe(config_with(8, true));
   const auto first = pipe.segment_images(images, kPrompt);
+  const auto encodes = pipe.cache_stats().misses;
   const auto second = pipe.segment_images(images, kPrompt);  // cache-hot
   expect_slice_results_equal(first, second);
-  EXPECT_GT(pipe.cache_stats().hits, 0u);
+  EXPECT_EQ(pipe.cache_stats().misses, encodes);
+  EXPECT_GE(pipe.mask_cache_stats().hits, images.size());
 }
 
 TEST(BatchImages, SessionWrapperMatchesPipeline) {

@@ -229,7 +229,9 @@ TEST(ShardedLru, SingleShardMatchesExactReferenceModelUnderRandomOps) {
       const int* expected = model.get(k);
       const auto got = cache.get(k);
       ASSERT_EQ(got != nullptr, expected != nullptr) << "step " << step;
-      if (expected != nullptr) ASSERT_EQ(*got, *expected) << "step " << step;
+      if (expected != nullptr) {
+        ASSERT_EQ(*got, *expected) << "step " << step;
+      }
     } else {
       const int value = static_cast<int>(rng() % 1000);
       const std::size_t bytes = 1 + rng() % 80;

@@ -227,6 +227,74 @@ TEST_F(KernelBackendTest, AttentionEquivalence) {
   }
 }
 
+/// The attention algorithm before row blocking, rebuilt from public ops:
+/// per-head column copies, the full [Lq, Lk] score matrix, then
+/// matmul_nt (or its dynamic-int8 form) → scale → softmax → matmul.
+tensor::Tensor unfused_attention(const tensor::Tensor& q,
+                                 const tensor::Tensor& k,
+                                 const tensor::Tensor& v, int heads,
+                                 bool int8) {
+  const std::int64_t lq = q.dim(0), lk = k.dim(0);
+  const std::int64_t dh = q.dim(1) / heads, dvh = v.dim(1) / heads;
+  tensor::Tensor out({lq, v.dim(1)});
+  for (int h = 0; h < heads; ++h) {
+    tensor::Tensor qh({lq, dh}), kh({lk, dh}), vh({lk, dvh});
+    for (std::int64_t i = 0; i < lq; ++i) {
+      for (std::int64_t j = 0; j < dh; ++j) qh.at(i, j) = q.at(i, h * dh + j);
+    }
+    for (std::int64_t i = 0; i < lk; ++i) {
+      for (std::int64_t j = 0; j < dh; ++j) kh.at(i, j) = k.at(i, h * dh + j);
+      for (std::int64_t j = 0; j < dvh; ++j) vh.at(i, j) = v.at(i, h * dvh + j);
+    }
+    tensor::Tensor scores = int8 ? tensor::matmul_nt_dyn_quantized(qh, kh)
+                                 : tensor::matmul_nt(qh, kh);
+    tensor::scale_inplace(scores, 1.0f / std::sqrt(static_cast<float>(dh)));
+    tensor::softmax_rows(scores);
+    const tensor::Tensor oh = tensor::matmul(scores, vh);
+    for (std::int64_t i = 0; i < lq; ++i) {
+      for (std::int64_t j = 0; j < dvh; ++j) out.at(i, h * dvh + j) = oh.at(i, j);
+    }
+  }
+  return out;
+}
+
+TEST_F(KernelBackendTest, AttentionMatchesUnfusedOpsByteForByte) {
+  // Row blocking must not move a bit: each output row comes from the
+  // same kernel calls on the same operands as the unfused algorithm.
+  // Lengths cover a single row, sub-block, block ± 1, several blocks
+  // with a ragged tail, and a 33x33-patch slice. Head widths 48 and 12
+  // make 1/sqrt(d) inexact and hit the k-octet tails.
+  const std::vector<std::int64_t> lengths = {1, 5, 31, 33, 97, 1089};
+  for (const auto& name : tensor::available_backends()) {
+    ASSERT_TRUE(tensor::set_backend(name));
+    std::vector<bool> modes = {false};
+    if (tensor::backend_supports_int8(name)) modes.push_back(true);
+    for (const bool int8 : modes) {
+      ASSERT_TRUE(tensor::quant::set_precision(int8 ? "int8" : "fp32"));
+      for (const std::int64_t lq : lengths) {
+        for (const std::int64_t lk : lengths) {
+          const tensor::Tensor q = filled(lq, 48, 11);
+          const tensor::Tensor k = filled(lk, 48, 13);
+          const tensor::Tensor v = filled(lk, 40, 17);
+          for (const int heads : {1, 4}) {
+            const tensor::Tensor ref = unfused_attention(q, k, v, heads, int8);
+            const tensor::Tensor got =
+                heads == 1 ? tensor::attention(q, k, v)
+                           : tensor::multihead_attention(q, k, v, heads);
+            ASSERT_EQ(got.shape(), ref.shape());
+            const auto g = got.flat(), r = ref.flat();
+            for (std::size_t i = 0; i < g.size(); ++i) {
+              ASSERT_EQ(g[i], r[i])
+                  << name << (int8 ? " int8" : " fp32") << " Lq=" << lq
+                  << " Lk=" << lk << " heads=" << heads << " elem " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelBackendTest, WithinBackendByteDeterminismAcrossThreadCounts) {
   // The determinism contract: per-output reduction order depends only on
   // k, never on the row range a worker was handed — so any thread count
@@ -238,18 +306,26 @@ TEST_F(KernelBackendTest, WithinBackendByteDeterminismAcrossThreadCounts) {
     const tensor::Tensor bt = filled(71, 96, 3);
     const tensor::Tensor nn1 = tensor::matmul(a, b);
     const tensor::Tensor nt1 = tensor::matmul_nt(a, bt);
+    // 4 heads x 3 row blocks (the last one ragged) spread over the pool.
+    const tensor::Tensor kv = filled(150, 96, 4);
+    const tensor::Tensor mh1 = tensor::multihead_attention(bt, kv, kv, 4);
     // Re-running on the same pool exercises different chunk→worker
     // assignments (dynamic pull); bytes must not move.
     for (int rep = 0; rep < 3; ++rep) {
       const tensor::Tensor nn2 = tensor::matmul(a, b);
       const tensor::Tensor nt2 = tensor::matmul_nt(a, bt);
+      const tensor::Tensor mh2 = tensor::multihead_attention(bt, kv, kv, 4);
       const auto f1 = nn1.flat(), f2 = nn2.flat();
       const auto g1 = nt1.flat(), g2 = nt2.flat();
+      const auto h1 = mh1.flat(), h2 = mh2.flat();
       for (std::size_t i = 0; i < f1.size(); ++i) {
         ASSERT_EQ(f1[i], f2[i]) << name << " matmul rep " << rep;
       }
       for (std::size_t i = 0; i < g1.size(); ++i) {
         ASSERT_EQ(g1[i], g2[i]) << name << " matmul_nt rep " << rep;
+      }
+      for (std::size_t i = 0; i < h1.size(); ++i) {
+        ASSERT_EQ(h1[i], h2[i]) << name << " multihead_attention rep " << rep;
       }
     }
   }

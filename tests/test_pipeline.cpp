@@ -1,13 +1,17 @@
 // ZenesisPipeline tests: Mode A segmentation, further-segment, volume mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/image/roi.hpp"
+#include "zenesis/obs/trace.hpp"
 
 namespace zc = zenesis::core;
 namespace zf = zenesis::fibsem;
 namespace zi = zenesis::image;
+namespace zo = zenesis::obs;
 
 namespace {
 
@@ -68,6 +72,30 @@ TEST(Pipeline, SegmentWithBoxBypassesGrounding) {
   const zc::SliceResult r = pipe.segment_with_box(ready, {10, 10, 100, 60});
   EXPECT_EQ(r.primary_box, (zi::Box{10, 10, 100, 60}));
   EXPECT_EQ(r.box_masks.size(), 1u);
+}
+
+TEST(Pipeline, SegmentEncodesOncePerRequest) {
+  // Grounding and decode share one encoding. With the feature cache off
+  // nothing could serve decode a second copy, so a second encode would
+  // show as a second sam.encode span.
+  const auto s = zf::generate_slice(test_config(zf::SampleType::kCrystalline), 1);
+  const std::string prompt = zf::default_prompt(zf::SampleType::kCrystalline);
+  zc::PipelineConfig cfg;
+  cfg.feature_cache.enabled = false;
+  const zc::ZenesisPipeline uncached(cfg);
+  const bool was_tracing = zo::enabled();
+  zo::set_enabled(true);
+  zo::TraceCollector::global().clear();
+  const zc::SliceResult r = uncached.segment(zi::AnyImage(s.raw), prompt);
+  zo::set_enabled(was_tracing);
+  const auto stages = zo::TraceCollector::global().aggregate();
+  ASSERT_TRUE(stages.count("sam.encode"));
+  EXPECT_EQ(stages.at("sam.encode").count, 1u);
+  ASSERT_FALSE(r.grounding.boxes.empty());
+
+  const zc::ZenesisPipeline cached;
+  const zi::Mask again = cached.segment(zi::AnyImage(s.raw), prompt).mask;
+  EXPECT_TRUE(std::ranges::equal(again.pixels(), r.mask.pixels()));
 }
 
 TEST(Pipeline, MaxBoxesCapRespected) {

@@ -99,7 +99,9 @@ TEST(Serve, SliceResponsesMatchBlockingPipeline) {
       const zs::ServiceStats st = service.stats();
       EXPECT_EQ(st.completed, traffic.size());
       EXPECT_EQ(st.admitted, traffic.size());
-      if (max_batch > 1) EXPECT_LT(st.batches, traffic.size());
+      if (max_batch > 1) {
+        EXPECT_LT(st.batches, traffic.size());
+      }
     }
   }
 }

@@ -100,8 +100,11 @@ TEST(Session, ModeCEvaluateAutoPublishesRuntimeStats) {
   const auto& stats = session.dashboard().stats();
   ASSERT_TRUE(stats.count("feature_cache_hits"));
   ASSERT_TRUE(stats.count("feature_cache_hit_rate"));
-  // mode_a_segment encodes once for grounding and hits once in assemble.
-  EXPECT_GT(stats.at("feature_cache_hits"), 0.0);
+  ASSERT_TRUE(stats.count("feature_cache_misses"));
+  // mode_a_segment encodes once; grounding and decode share that encoding
+  // without a second lookup.
+  EXPECT_EQ(stats.at("feature_cache_misses"), 1.0);
+  EXPECT_EQ(stats.at("feature_cache_hits"), 0.0);
 }
 
 TEST(Session, StatsSourcesFoldIntoDashboard) {
