@@ -138,14 +138,12 @@ void register_kernel_benchmarks() {
           ->Arg(512)
           ->Arg(1024);
     }
-    if (tensor::backend_supports_int8(backend)) {
-      benchmark::RegisterBenchmark(
-          ("BM_GemmInt8/" + backend).c_str(),
-          [backend](benchmark::State& s) { BM_GemmInt8(s, backend); })
-          ->Arg(256)
-          ->Arg(512)
-          ->Arg(1024);
-    }
+    benchmark::RegisterBenchmark(
+        ("BM_GemmInt8/" + backend).c_str(),
+        [backend](benchmark::State& s) { BM_GemmInt8(s, backend); })
+        ->Arg(256)
+        ->Arg(512)
+        ->Arg(1024);
     benchmark::RegisterBenchmark(
         ("BM_Attention/" + backend).c_str(),
         [backend](benchmark::State& s) { BM_AttentionBackend(s, backend, 1); })

@@ -1,7 +1,8 @@
 // Serving-layer demo: a burst of Mode-A requests (with repeats, a
 // deadline, a cancellation and a low-priority volume job) submitted to
 // the asynchronous SegmentService, then the Mode-C dashboard with the
-// serve_* runtime-stats block published automatically.
+// serve_* runtime-stats block published next to the session's own
+// counters.
 //
 //   ./serve_demo [prompt]
 #include <chrono>
@@ -36,7 +37,6 @@ int main(int argc, char** argv) {
   serve::SegmentService service(cfg);
 
   core::Session session;
-  service.attach_to(session);  // serve_* counters ride along with Mode C
 
   std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < 12; ++i) {
@@ -85,12 +85,13 @@ int main(int argc, char** argv) {
               stats.total_us.percentile(95.0) / 1000.0,
               stats.total_us.percentile(99.0) / 1000.0);
 
-  // Mode C: one evaluation — runtime stats (cache + service) publish
-  // automatically alongside it.
+  // Mode C: one evaluation publishes the session's cache counters; the
+  // service's serve_* block is published into the same dashboard.
   const auto probe = fibsem::generate_slice(vcfg, 0);
   const auto seg = session.mode_a_segment(image::AnyImage(probe.raw), prompt);
   session.mode_c_evaluate("synthetic", "zenesis", 0, seg.mask,
                           probe.ground_truth);
+  service.publish_stats(session.dashboard());
   std::printf("\n%s\n", session.dashboard().render().c_str());
 
   // With ZENESIS_TRACE=1 the whole burst was traced: dump the Chrome
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
                 "(open in chrome://tracing)\n",
                 trace_path);
   }
-  // No teardown ceremony: attach_to is a scoped registration, so any
-  // destruction order of service and session is safe.
+  // No teardown ceremony: the dashboard holds published values, not
+  // references to the service, so any destruction order is safe.
   return 0;
 }

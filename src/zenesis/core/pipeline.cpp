@@ -109,6 +109,12 @@ PipelineConfig checked(const PipelineConfig& cfg) {
   return cfg;
 }
 
+/// False when the mask cache can hold nothing; no request key is built
+/// then (hashing the image would be wasted work).
+bool memoizes_masks(const PipelineConfig& cfg) {
+  return cfg.mask_cache.enabled && cfg.mask_cache.capacity != 0;
+}
+
 /// Mask-cache key for a text-grounded slice request. The image hash is
 /// one half; the other folds a call-shape tag, the decode fingerprint,
 /// the active kernels and the prompt, so the two request kinds can never
@@ -195,33 +201,47 @@ SliceResult ZenesisPipeline::segment(const image::AnyImage& raw,
   return segment_ready(make_ready(raw), prompt);
 }
 
+std::shared_ptr<const SliceResult> ZenesisPipeline::lookup_mask(
+    const std::optional<cache::Key128>& key) const {
+  if (!key) return nullptr;
+  obs::Span span("cache.mask_lookup", 0);
+  auto hit = mask_cache_->get(*key);
+  if (hit) span.set_arg(1);
+  return hit;
+}
+
+void ZenesisPipeline::store_mask(const std::optional<cache::Key128>& key,
+                                 const SliceResult& res) const {
+  if (!key) return;
+  mask_cache_->put(*key, std::make_shared<const SliceResult>(res),
+                   slice_result_bytes(res));
+}
+
 SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
                                            const std::string& prompt) const {
-  const bool memoize =
-      cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
-  cache::Key128 key;
-  if (memoize) {
+  std::optional<cache::Key128> key;
+  if (memoizes_masks(cfg_)) {
     key = slice_request_key(ready, prompt, decode_fingerprint_);
-    obs::Span span("cache.mask_lookup", 0);
-    if (const auto hit = mask_cache_->get(key)) {
-      span.set_arg(1);
-      return *hit;
-    }
   }
+  if (const auto hit = lookup_mask(key)) return *hit;
   const auto enc = cache_->encode(ready, dino_.backbone());
-  models::GroundingResult g = [&] {
-    obs::Span span("dino.detect");
-    return dino_.detect(enc->maps, enc->enc, prompt);
-  }();
   // Decode reuses the grounding encoding when the two backbones are
   // configured alike (the default); otherwise SAM encodes under its own.
-  SliceResult res = shared_backbone_
-                        ? assemble(ready, std::move(g), *enc)
-                        : assemble(ready, std::move(g), *encode_cached(ready));
-  if (memoize) {
-    mask_cache_->put(key, std::make_shared<const SliceResult>(res),
-                     slice_result_bytes(res));
-  }
+  return shared_backbone_
+             ? segment_encoded(ready, prompt, *enc, *enc, key)
+             : segment_encoded(ready, prompt, *enc, *encode_cached(ready), key);
+}
+
+SliceResult ZenesisPipeline::segment_encoded(
+    const image::ImageF32& ready, const std::string& prompt,
+    const models::SamEncoded& grounding_enc, const models::SamEncoded& sam_enc,
+    const std::optional<cache::Key128>& key) const {
+  models::GroundingResult g = [&] {
+    obs::Span span("dino.detect");
+    return dino_.detect(grounding_enc.maps, grounding_enc.enc, prompt);
+  }();
+  SliceResult res = assemble(ready, std::move(g), sam_enc);
+  store_mask(key, res);
   return res;
 }
 
@@ -234,17 +254,11 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
   // forcing SAM ranking reproduces that path bit-exactly).
   const bool text_ranked = opts.prompt.has_value() &&
                            opts.ranking != BoxPromptOptions::Ranking::kSamScore;
-  const bool memoize =
-      cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
-  cache::Key128 key;
-  if (memoize) {
+  std::optional<cache::Key128> key;
+  if (memoizes_masks(cfg_)) {
     key = box_request_key(ready, box, opts, decode_fingerprint_);
-    obs::Span span("cache.mask_lookup", 0);
-    if (const auto hit = mask_cache_->get(key)) {
-      span.set_arg(1);
-      return *hit;
-    }
   }
+  if (const auto hit = lookup_mask(key)) return *hit;
   SliceResult res = [&] {
     const auto enc = encode_cached(ready);
     if (text_ranked) {
@@ -254,10 +268,7 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
     g.boxes.push_back({box, 1.0});
     return assemble(ready, std::move(g), *enc);
   }();
-  if (memoize) {
-    mask_cache_->put(key, std::make_shared<const SliceResult>(res),
-                     slice_result_bytes(res));
-  }
+  store_mask(key, res);
   return res;
 }
 
@@ -573,17 +584,28 @@ ZenesisPipeline::MultiObjectResult ZenesisPipeline::segment_multi(
     const image::AnyImage& raw, const std::vector<std::string>& prompts) const {
   obs::Span span("pipeline.multi", prompts.size());
   const image::ImageF32 ready = make_ready(raw);
+  // One encoding serves every prompt and the label pass; grounding
+  // encodes separately only when its backbone differs from SAM's.
+  const auto enc_ptr = encode_cached(ready);
+  const models::SamEncoded& enc = *enc_ptr;
+  const auto grounding_enc =
+      shared_backbone_ ? enc_ptr : cache_->encode(ready, dino_.backbone());
   MultiObjectResult res;
   res.labels = image::Image<std::int32_t>(ready.width(), ready.height(), 1);
   res.per_prompt.reserve(prompts.size());
   for (const auto& prompt : prompts) {
-    res.per_prompt.push_back(segment_ready(ready, prompt));
+    std::optional<cache::Key128> key;
+    if (memoizes_masks(cfg_)) {
+      key = slice_request_key(ready, prompt, decode_fingerprint_);
+    }
+    const auto hit = lookup_mask(key);
+    res.per_prompt.push_back(
+        hit ? *hit
+            : segment_encoded(ready, prompt, *grounding_enc, enc, key));
   }
   // Conflicts go to the class whose concept direction aligns best with
   // the pixel's features (same signal the single-object path uses for
   // mask selection).
-  const auto enc_ptr = encode_cached(ready);
-  const models::SamEncoded& enc = *enc_ptr;
   std::array<float, models::kFeatureChannels> mean{};
   for (int c = 0; c < models::kFeatureChannels; ++c) {
     mean[static_cast<std::size_t>(c)] = enc.enc.mean_feature.at(c);

@@ -230,7 +230,8 @@ class ZenesisPipeline {
 
   /// Multi-object segmentation (the paper's future-work item 2): one
   /// prompt per object class. Each prompt is grounded and segmented
-  /// independently; pixels claimed by several classes go to the prompt
+  /// independently on one shared encoding of the slice (encoded once per
+  /// call); pixels claimed by several classes go to the prompt
   /// with the highest pixel-level text alignment. Label 0 = background,
   /// label i = prompts[i-1].
   struct MultiObjectResult {
@@ -245,6 +246,25 @@ class ZenesisPipeline {
   /// validated slice feed.
   VolumeResult run_volume(const VolumeSource& source,
                           const std::string& prompt) const;
+
+  /// Mask-cache hit for `key`; nullptr on a miss or when `key` is empty
+  /// (mask memoization off).
+  std::shared_ptr<const SliceResult> lookup_mask(
+      const std::optional<cache::Key128>& key) const;
+  /// Stores `res` under `key`; a no-op when `key` is empty.
+  void store_mask(const std::optional<cache::Key128>& key,
+                  const SliceResult& res) const;
+
+  /// The text-grounded request body on encodings the caller already has:
+  /// grounds `prompt` on `grounding_enc`, decodes on `sam_enc` (the same
+  /// object when the backbones are shared) and memoizes under `key`.
+  /// segment_ready and segment_multi share it, so a multi-prompt call
+  /// encodes its slice once.
+  SliceResult segment_encoded(const image::ImageF32& ready,
+                              const std::string& prompt,
+                              const models::SamEncoded& grounding_enc,
+                              const models::SamEncoded& sam_enc,
+                              const std::optional<cache::Key128>& key) const;
 
   /// Runs SAM over the top-k grounded boxes of `ready`, encoded as
   /// `enc` under the SAM backbone, and unions the masks.

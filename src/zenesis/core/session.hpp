@@ -8,9 +8,6 @@
 // dashboard; CLI examples and benches drive everything through it, the
 // same way the web UI drives the Python original.
 
-#include <atomic>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,44 +17,6 @@
 #include "zenesis/hitl/rectify.hpp"
 
 namespace zenesis::core {
-
-/// RAII handle for a scoped runtime-stats source (see
-/// Session::add_scoped_stats_source). While the handle is alive the source
-/// runs on every runtime-stats refresh; destroying or reset()ing it
-/// deactivates the source, and the session prunes the dead entry on its
-/// next refresh — so a producer that dies before the session (e.g. a
-/// serve::SegmentService) is skipped instead of dereferenced.
-/// Deactivation is not synchronized with a refresh running concurrently on
-/// another thread; Session is single-threaded like the rest of the facade.
-class StatsRegistration {
- public:
-  StatsRegistration() = default;
-  StatsRegistration(StatsRegistration&&) noexcept = default;
-  StatsRegistration& operator=(StatsRegistration&& other) noexcept {
-    if (this != &other) {
-      reset();
-      alive_ = std::move(other.alive_);
-    }
-    return *this;
-  }
-  StatsRegistration(const StatsRegistration&) = delete;
-  StatsRegistration& operator=(const StatsRegistration&) = delete;
-  ~StatsRegistration() { reset(); }
-
-  /// Deactivates the source. Idempotent; the empty handle is inert.
-  void reset() noexcept {
-    if (alive_) alive_->store(false, std::memory_order_relaxed);
-    alive_.reset();
-  }
-  bool active() const noexcept { return alive_ != nullptr; }
-
- private:
-  friend class Session;
-  explicit StatsRegistration(std::shared_ptr<std::atomic<bool>> alive)
-      : alive_(std::move(alive)) {}
-
-  std::shared_ptr<std::atomic<bool>> alive_;
-};
 
 class Session {
  public:
@@ -94,24 +53,16 @@ class Session {
       const std::vector<image::AnyImage>& images,
       const std::string& prompt) const;
 
-  /// Extra producer of runtime stats (e.g. a serve::SegmentService
-  /// publishing its admission/latency counters). Sources are invoked every
-  /// time runtime stats are refreshed.
-  using StatsSource = std::function<void(eval::Dashboard&)>;
-  /// Scoped registration: the source runs only while the returned handle
-  /// is alive, so destroying the producer (which owns the handle)
-  /// automatically stops the session from calling into freed memory.
-  [[nodiscard]] StatsRegistration add_scoped_stats_source(StatsSource source);
-
-  /// Refreshes the dashboard's runtime-stats section: the pipeline's
-  /// feature-cache counters (hits, misses, evictions, hit rate), every
-  /// registered stats source, and — when tracing is on (ZENESIS_TRACE=1
-  /// or obs::set_enabled) — per-stage span timings from the global
-  /// TraceCollector as `trace_<stage>_{count,mean_us,max_us}`, so Mode C
-  /// shows where pipeline time goes next to the quality metrics. Since
-  /// PR 2 this happens automatically on each `mode_c_evaluate` call; the
-  /// explicit method remains for callers that render the dashboard
-  /// without evaluating anything.
+  /// Refreshes the dashboard's runtime-stats section with what the
+  /// session owns: the pipeline's feature- and mask-cache counters (hits,
+  /// misses, evictions, hit rate, resident bytes) and — when tracing is on
+  /// (ZENESIS_TRACE=1 or obs::set_enabled) — per-stage span timings from
+  /// the global TraceCollector as `trace_<stage>_{count,mean_us,max_us}`,
+  /// so Mode C shows where pipeline time goes next to the quality
+  /// metrics. Every `mode_c_evaluate` calls it; call it directly to render
+  /// the dashboard without evaluating anything. Other components publish
+  /// their own counters into `dashboard()` explicitly, e.g.
+  /// `service.publish_stats(session.dashboard())`.
   void publish_runtime_stats();
 
   // --- Mode C: evaluation ---
@@ -136,16 +87,8 @@ class Session {
                               const std::string& prompt) const;
 
  private:
-  /// A registered source; skipped (and pruned) once its registration
-  /// died.
-  struct StatsEntry {
-    StatsSource fn;
-    std::shared_ptr<std::atomic<bool>> alive;
-  };
-
   ZenesisPipeline pipeline_;
   eval::Dashboard dashboard_;
-  std::vector<StatsEntry> stats_sources_;
 };
 
 }  // namespace zenesis::core

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "zenesis/cache/feature_cache.hpp"
-#include "zenesis/core/session.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
@@ -122,10 +121,6 @@ SegmentService::SegmentService(const ServiceConfig& cfg)
 
 SegmentService::~SegmentService() {
   shutdown();
-  // Deactivate dashboard registrations before members are torn down, so a
-  // Session that outlives this service skips (and prunes) the dead source
-  // instead of calling into freed memory.
-  for (auto& registration : stats_registrations_) registration.reset();
 }
 
 parallel::ThreadPool& SegmentService::fanout_pool() const {
@@ -542,10 +537,7 @@ void SegmentService::finish_rejected(Pending& pending, RejectReason reason) {
 
 ServiceStats SegmentService::stats() const {
   std::lock_guard<std::mutex> sl(stats_mutex_);
-  ServiceStats s = stats_;
-  s.kernel_backend = tensor::backend_name();
-  s.precision = tensor::quant::precision_name();
-  return s;
+  return stats_;
 }
 
 std::size_t SegmentService::queue_depth() const {
@@ -587,17 +579,14 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   const cache::LruCacheStats mc = pipeline_.mask_cache_stats();
   dashboard.set_stat("serve_mask_cache_hit_rate", mc.hit_rate());
   set_u64("serve_mask_cache_hits", mc.hits);
-  // The dashboard is numeric-only, so the resolved kernel backend is
-  // published as a one-hot key: serve_kernel_backend_<name> = 1.
-  dashboard.set_stat("serve_kernel_backend_" + s.kernel_backend, 1.0);
-  dashboard.set_stat("serve_precision_" + s.precision, 1.0);
-}
-
-void SegmentService::attach_to(core::Session& session) {
-  // Scoped: the registration dies with this service, so a session that
-  // outlives it skips the source instead of hitting freed memory.
-  stats_registrations_.push_back(session.add_scoped_stats_source(
-      [this](eval::Dashboard& dashboard) { publish_stats(dashboard); }));
+  // The dashboard is numeric-only, so the process-wide kernel backend and
+  // precision are published as one-hot keys: serve_kernel_backend_<name>
+  // = 1, serve_precision_<name> = 1.
+  dashboard.set_stat(std::string("serve_kernel_backend_") +
+                         tensor::backend_name(),
+                     1.0);
+  dashboard.set_stat(
+      std::string("serve_precision_") + tensor::quant::precision_name(), 1.0);
 }
 
 }  // namespace zenesis::serve

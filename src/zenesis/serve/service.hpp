@@ -39,9 +39,10 @@
 // Observability: ServiceStats carries admission/rejection counters, the
 // queue-depth high-water mark, per-stage latency histograms (queue wait,
 // batch encode, per-request decode, end-to-end) and a batch-size
-// histogram; publish_stats() copies the block into the Mode-C dashboard
-// next to the feature-cache counters, and attach_to(Session) keeps it
-// fresh automatically on every mode_c_evaluate.
+// histogram; publish_stats(dashboard) copies the block, plus the active
+// kernel backend and precision as one-hot keys, into a Mode-C dashboard
+// at the moment it is called — a caller that renders a Session's
+// dashboard calls `service.publish_stats(session.dashboard())` first.
 
 #include <atomic>
 #include <chrono>
@@ -58,7 +59,6 @@
 
 #include "zenesis/core/error.hpp"
 #include "zenesis/core/pipeline.hpp"
-#include "zenesis/core/session.hpp"
 #include "zenesis/eval/dashboard.hpp"
 #include "zenesis/parallel/thread_pool.hpp"
 #include "zenesis/serve/histogram.hpp"
@@ -231,16 +231,6 @@ struct ServiceStats {
   Histogram decode_us;   ///< pipeline decode, per request
   Histogram total_us;    ///< admission → completion, per request
   Histogram batch_size;  ///< requests per dispatched batch
-
-  /// Resolved tensor kernel backend the service's math runs on
-  /// ("scalar", "blocked", "avx2"). Snapshot of
-  /// tensor::backend_name() at stats() time.
-  std::string kernel_backend;
-
-  /// Resolved numeric precision of the encoder GEMM path ("fp32",
-  /// "int8"). Snapshot of tensor::quant::precision_name() at stats()
-  /// time.
-  std::string precision;
 };
 
 class SegmentService {
@@ -272,15 +262,10 @@ class SegmentService {
   ServiceStats stats() const;
   std::size_t queue_depth() const;
 
-  /// Writes the stats block into a Mode-C dashboard (serve_* keys).
+  /// Writes the stats block into a Mode-C dashboard (serve_* keys),
+  /// including the process-wide kernel backend and precision as one-hot
+  /// serve_kernel_backend_<name> / serve_precision_<name> keys.
   void publish_stats(eval::Dashboard& dashboard) const;
-
-  /// Registers publish_stats as a runtime-stats source on `session`, so
-  /// every mode_c_evaluate republishes fresh service counters. The
-  /// registration is scoped: destroying this service deactivates it, and
-  /// a session that outlives the service simply skips (and prunes) the
-  /// dead source — no ordering requirement on the caller.
-  void attach_to(core::Session& session);
 
   const core::ZenesisPipeline& pipeline() const noexcept { return pipeline_; }
   const ServiceConfig& config() const noexcept { return cfg_; }
@@ -330,10 +315,6 @@ class SegmentService {
 
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
-
-  /// Scoped dashboard registrations from attach_to; reset in the
-  /// destructor so an outliving Session skips the dead source.
-  std::vector<core::StatsRegistration> stats_registrations_;
 
   std::mutex lifecycle_mutex_;  ///< serializes shutdown/join
   std::thread dispatcher_;

@@ -96,13 +96,6 @@ bool backend_available(std::string_view name) {
   return kernels::lookup(name) != nullptr;
 }
 
-bool backend_supports_int8(std::string_view name) {
-  const kernels::KernelBackend* backend = kernels::lookup(name);
-  return backend != nullptr && backend->quantize_row != nullptr &&
-         backend->dequantize_row != nullptr &&
-         backend->matmul_nt_i8 != nullptr;
-}
-
 std::string cpu_feature_string() {
   std::string features;
   const auto append = [&](const char* name) {

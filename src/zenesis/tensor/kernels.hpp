@@ -80,6 +80,9 @@ struct KernelBackend {
 
   // ---- int8 dynamic-quantization kernels (see quant.hpp) ----
   //
+  // Required like every entry above: each backend defines all three, so
+  // callers never test them for null.
+  //
   // The quantization scheme is symmetric per-row: scale = max|row|/127,
   // values clamped to [-127, 127] (the -128 slot is never produced, so
   // |q| <= 127 — which keeps the AVX2 maddubs pair-sums exact, see
@@ -101,8 +104,6 @@ struct KernelBackend {
   /// C[i][j] = float(acc_i32) * (a_scales[i] * b_scales[j]) + bias[j]
   /// with a saturating-free exact i32 accumulator (|q| <= 127 keeps any
   /// K <= ~133000 overflow-free). `bias` is nullable, as in matmul_nt.
-  /// May be nullptr on backends without int8 kernels — callers must
-  /// check (ops.cpp falls back to the fp32 path).
   void (*matmul_nt_i8)(const std::int8_t* a, const float* a_scales,
                        const std::int8_t* b, const float* b_scales,
                        const float* bias, float* c, std::int64_t m0,
@@ -148,11 +149,6 @@ std::vector<std::string> available_backends();
 
 /// True when `name` names a backend that set_backend() would accept.
 bool backend_available(std::string_view name);
-
-/// True when `name` names an available backend whose table provides the
-/// int8 kernels (quantize/dequantize/matmul_nt_i8). "auto" reports on
-/// the backend auto-selection would pick.
-bool backend_supports_int8(std::string_view name);
 
 /// Space-separated SIMD capabilities detected at runtime (e.g.
 /// "sse4.2 avx avx2 fma avx512f"), independent of which backends were

@@ -35,9 +35,9 @@ Tensor transpose(const Tensor& a);
 // These run the dynamic-int8 pipeline: the activation matrix is
 // quantized per row on the ThreadPool, the pre-quantized weight panel
 // is reused as-is, and the int8 GEMM requantizes back to fp32 in its
-// epilogue. If the active backend has no int8 kernels they fall back to
-// the fp32 kernels (dequantizing the panel once), so call sites can
-// branch on quant::int8_fast_path() for speed but never for safety.
+// epilogue. Every kernel backend provides the int8 entries, so these run
+// under any backend; call sites branch on quant::int8_fast_path() to
+// choose between this path and the fp32 one.
 
 /// y = x(MxK) * dequant(qw)(NxK)^T [+ bias(N)]. `bias` may be empty
 /// (rank 0) for a pure matmul_nt against a quantized panel.

@@ -39,15 +39,7 @@ Precision resolve_precision_selector(std::string_view value,
   if (value.empty() || value == "auto" || value == "fp32") {
     return Precision::kFp32;
   }
-  if (value == "int8") {
-    if (kernels::active().matmul_nt_i8 != nullptr) return Precision::kInt8;
-    if (warning != nullptr) {
-      *warning = "zenesis: ZENESIS_PRECISION=int8 requested but backend '" +
-                 std::string(backend_name()) +
-                 "' has no int8 kernels; using 'fp32'";
-    }
-    return Precision::kFp32;
-  }
+  if (value == "int8") return Precision::kInt8;
   if (warning != nullptr) {
     *warning = "zenesis: ZENESIS_PRECISION=" + std::string(value) +
                " is unknown (expected fp32|int8); using 'fp32'";
@@ -79,7 +71,6 @@ bool set_precision(std::string_view name) {
     return true;
   }
   if (name == "int8") {
-    if (kernels::active().matmul_nt_i8 == nullptr) return false;
     g_precision.store(static_cast<int>(Precision::kInt8),
                       std::memory_order_release);
     return true;
@@ -92,14 +83,10 @@ const char* precision_name() {
 }
 
 bool precision_available(std::string_view name) {
-  if (name == "auto" || name == "fp32") return true;
-  return name == "int8" && kernels::active().matmul_nt_i8 != nullptr;
+  return name == "auto" || name == "fp32" || name == "int8";
 }
 
-bool int8_fast_path() {
-  return active_precision() == Precision::kInt8 &&
-         kernels::active().matmul_nt_i8 != nullptr;
-}
+bool int8_fast_path() { return active_precision() == Precision::kInt8; }
 
 QuantizedTensor quantize_rows(const Tensor& t) {
   if (t.rank() != 2) {
@@ -112,10 +99,6 @@ QuantizedTensor quantize_rows(const Tensor& t) {
   q.data.resize(static_cast<std::size_t>(rows * cols));
   q.scales.resize(static_cast<std::size_t>(rows));
   const kernels::KernelBackend& backend = kernels::active();
-  if (backend.quantize_row == nullptr) {
-    throw std::runtime_error(std::string("quantize_rows: backend '") +
-                             backend.name + "' has no int8 kernels");
-  }
   const float* src = t.data();
   parallel::parallel_for(0, rows, [&](std::int64_t i) {
     backend.quantize_row(src + i * cols, q.data.data() + i * cols,
@@ -127,10 +110,6 @@ QuantizedTensor quantize_rows(const Tensor& t) {
 Tensor dequantize_rows(const QuantizedTensor& q) {
   Tensor out({q.rows, q.cols});
   const kernels::KernelBackend& backend = kernels::active();
-  if (backend.dequantize_row == nullptr) {
-    throw std::runtime_error(std::string("dequantize_rows: backend '") +
-                             backend.name + "' has no int8 kernels");
-  }
   parallel::parallel_for(0, q.rows, [&](std::int64_t i) {
     backend.dequantize_row(q.data.data() + i * q.cols, out.data() + i * q.cols,
                            q.scales[static_cast<std::size_t>(i)], q.cols);

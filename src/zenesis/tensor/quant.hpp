@@ -83,8 +83,7 @@ Precision active_precision();
 
 /// Selects the precision by name: "fp32", "int8", or "auto"
 /// (re-resolve ZENESIS_PRECISION / default fp32). Returns false — and
-/// leaves the selection unchanged — for unknown names or for "int8"
-/// when the active kernel backend lacks int8 kernels.
+/// leaves the selection unchanged — for unknown names.
 bool set_precision(std::string_view name);
 
 /// Name of the active precision ("fp32" | "int8").
@@ -94,15 +93,15 @@ const char* precision_name();
 bool precision_available(std::string_view name);
 
 /// The ZENESIS_PRECISION resolution rule as a pure function (the env
-/// init calls it exactly once per process): unknown or unavailable
-/// values yield kFp32 and a one-line fallback note in `*warning`
-/// (cleared otherwise). Exposed for tests of the fallback path.
+/// init calls it exactly once per process): unknown values yield kFp32
+/// and a one-line fallback note in `*warning` (cleared otherwise).
+/// Exposed for tests of the fallback path.
 Precision resolve_precision_selector(std::string_view value,
                                      std::string* warning);
 
-/// True when the quantized fast path should run: active precision is
-/// int8 AND the active kernel backend provides the int8 kernels. Model
-/// call sites branch on this, never on active_precision() alone.
+/// True when the quantized fast path should run (active precision is
+/// int8; every kernel backend provides the int8 kernels). Model call
+/// sites branch on this.
 bool int8_fast_path();
 
 }  // namespace zenesis::tensor::quant

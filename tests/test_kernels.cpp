@@ -267,9 +267,7 @@ TEST_F(KernelBackendTest, AttentionMatchesUnfusedOpsByteForByte) {
   const std::vector<std::int64_t> lengths = {1, 5, 31, 33, 97, 1089};
   for (const auto& name : tensor::available_backends()) {
     ASSERT_TRUE(tensor::set_backend(name));
-    std::vector<bool> modes = {false};
-    if (tensor::backend_supports_int8(name)) modes.push_back(true);
-    for (const bool int8 : modes) {
+    for (const bool int8 : {false, true}) {
       ASSERT_TRUE(tensor::quant::set_precision(int8 ? "int8" : "fp32"));
       for (const std::int64_t lq : lengths) {
         for (const std::int64_t lk : lengths) {
@@ -424,16 +422,6 @@ TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
 }
 
 // ---- int8 quantization path --------------------------------------------
-
-TEST_F(KernelBackendTest, Int8SupportRegistry) {
-  // Every shipped backend provides the int8 kernel triple; unknown names
-  // report unsupported (the validate() combo check relies on this).
-  for (const auto& name : tensor::available_backends()) {
-    EXPECT_TRUE(tensor::backend_supports_int8(name)) << name;
-  }
-  EXPECT_FALSE(tensor::backend_supports_int8("not-a-backend"));
-  EXPECT_FALSE(tensor::backend_supports_int8(""));
-}
 
 TEST_F(KernelBackendTest, QuantizeRoundTripPerBackend) {
   for (const auto& name : tensor::available_backends()) {
@@ -607,8 +595,7 @@ TEST_F(KernelBackendTest, PrecisionSelectorFallsBackWithWarning) {
         << ok;
     EXPECT_TRUE(warning.empty()) << ok << ": " << warning;
   }
-  // int8 resolves cleanly when the active backend has int8 kernels
-  // (every shipped backend does).
+  // int8 resolves cleanly: every backend provides the int8 kernels.
   warning = "stale";
   EXPECT_EQ(tensor::quant::resolve_precision_selector("int8", &warning),
             tensor::quant::Precision::kInt8);

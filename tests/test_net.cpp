@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "zenesis/core/session.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/io/tiff.hpp"
 #include "zenesis/net/client.hpp"
@@ -491,12 +490,9 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
 // zero/duplicate request id and oversized ping paths — and no serve_*
 // shadow of the wire counters is published next to it.
 TEST(Net, StatsFlowIntoDashboardOnce) {
-  zenesis::core::Session session;
   zs::SegmentService service;
-  service.attach_to(session);
   zn::Server server(service, {});
   server.pause_bridge();  // keeps request 7 pending for the dup
-  server.attach_to(session);
 
   {
     auto [client, server_fd] = zn::Client::loopback_pair();
@@ -534,11 +530,13 @@ TEST(Net, StatsFlowIntoDashboardOnce) {
     std::this_thread::sleep_for(1ms);
   }
 
-  session.publish_runtime_stats();
+  zenesis::eval::Dashboard dashboard;
+  service.publish_stats(dashboard);
+  server.publish_stats(dashboard);
   const zn::NetStats live = server.stats();
   EXPECT_EQ(live.connections_active, 0u);
   EXPECT_EQ(live.protocol_errors, 3u);  // zero id, oversized ping, dup id
-  const auto& published = session.dashboard().stats();
+  const auto& published = dashboard.stats();
   ASSERT_NE(published.count("net_connections_accepted"), 0u);
   EXPECT_EQ(published.at("net_connections_accepted"), 1.0);
   ASSERT_NE(published.count("net_responses_sent"), 0u);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/fibsem/synth.hpp"
@@ -96,6 +98,37 @@ TEST(Pipeline, SegmentEncodesOncePerRequest) {
   const zc::ZenesisPipeline cached;
   const zi::Mask again = cached.segment(zi::AnyImage(s.raw), prompt).mask;
   EXPECT_TRUE(std::ranges::equal(again.pixels(), r.mask.pixels()));
+}
+
+TEST(Pipeline, SegmentMultiEncodesOncePerCall) {
+  // Every prompt and the label pass share one encoding of the slice. With
+  // the feature cache off a per-prompt encode would show as one more
+  // sam.encode span per prompt.
+  const auto s = zf::generate_slice(test_config(zf::SampleType::kCrystalline), 1);
+  const std::vector<std::string> prompts = {
+      zf::default_prompt(zf::SampleType::kCrystalline), "dark background",
+      "grey porous support"};
+  zc::PipelineConfig cfg;
+  cfg.feature_cache.enabled = false;
+  const zc::ZenesisPipeline uncached(cfg);
+  const bool was_tracing = zo::enabled();
+  zo::set_enabled(true);
+  zo::TraceCollector::global().clear();
+  const auto r = uncached.segment_multi(zi::AnyImage(s.raw), prompts);
+  zo::set_enabled(was_tracing);
+  const auto stages = zo::TraceCollector::global().aggregate();
+  ASSERT_TRUE(stages.count("sam.encode"));
+  EXPECT_EQ(stages.at("sam.encode").count, 1u);
+
+  const zc::ZenesisPipeline cached;
+  const auto again = cached.segment_multi(zi::AnyImage(s.raw), prompts);
+  ASSERT_EQ(again.per_prompt.size(), r.per_prompt.size());
+  for (std::size_t i = 0; i < r.per_prompt.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(again.per_prompt[i].mask.pixels(),
+                                   r.per_prompt[i].mask.pixels()))
+        << prompts[i];
+  }
+  EXPECT_TRUE(std::ranges::equal(again.labels.pixels(), r.labels.pixels()));
 }
 
 TEST(Pipeline, MaxBoxesCapRespected) {

@@ -107,46 +107,28 @@ TEST(Session, ModeCEvaluateAutoPublishesRuntimeStats) {
   EXPECT_EQ(stats.at("feature_cache_hits"), 0.0);
 }
 
-TEST(Session, StatsSourcesFoldIntoDashboard) {
+TEST(Session, PublishRuntimeStatsRefreshesSessionCounters) {
+  // publish_runtime_stats writes what the session owns — its pipeline's
+  // cache counters — at the moment it is called; serve_* and net_* keys
+  // only arrive through those components' own publish_stats.
   zc::Session session;
-  int calls = 0;
-  zc::StatsRegistration reg =
-      session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
-        ++calls;
-        d.set_stat("custom_source_stat", 42.0);
-      });
   const auto s = zf::generate_slice(test_config(zf::SampleType::kAmorphous), 0);
-  const auto r = session.mode_a_segment(
-      zi::AnyImage(s.raw), zf::default_prompt(zf::SampleType::kAmorphous));
-  session.mode_c_evaluate("amorphous", "zenesis", 0, r.mask, s.ground_truth);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(session.dashboard().stats().at("custom_source_stat"), 42.0);
+  const std::string prompt = zf::default_prompt(zf::SampleType::kAmorphous);
+  (void)session.mode_a_segment(zi::AnyImage(s.raw), prompt);
+  session.publish_runtime_stats();
+  const auto& stats = session.dashboard().stats();
+  ASSERT_TRUE(stats.count("mask_cache_hits"));
+  EXPECT_EQ(stats.at("mask_cache_misses"), 1.0);
+  EXPECT_EQ(stats.at("mask_cache_hits"), 0.0);
 
-  // The explicit method remains as a compatible alias.
+  (void)session.mode_a_segment(zi::AnyImage(s.raw), prompt);
+  EXPECT_EQ(stats.at("mask_cache_hits"), 0.0) << "published before refresh";
   session.publish_runtime_stats();
-  EXPECT_EQ(calls, 2);
-  reg.reset();
-  session.publish_runtime_stats();
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(Session, ScopedStatsSourceStopsWhenRegistrationDies) {
-  zc::Session session;
-  int calls = 0;
-  {
-    zc::StatsRegistration reg =
-        session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
-          ++calls;
-          d.set_stat("scoped_source_stat", 7.0);
-        });
-    EXPECT_TRUE(reg.active());
-    session.publish_runtime_stats();
-    EXPECT_EQ(calls, 1);
-  }  // registration destroyed → source deactivated
-  session.publish_runtime_stats();  // pruned, never invoked again
-  session.publish_runtime_stats();
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(session.dashboard().stats().at("scoped_source_stat"), 7.0);
+  EXPECT_EQ(stats.at("mask_cache_hits"), 1.0);
+  for (const auto& [key, value] : stats) {
+    EXPECT_NE(key.rfind("serve_", 0), 0u) << key;
+    EXPECT_NE(key.rfind("net_", 0), 0u) << key;
+  }
 }
 
 TEST(Session, InvalidConfigThrowsAtConstruction) {

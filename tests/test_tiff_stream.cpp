@@ -4,10 +4,14 @@
 // byte-identical to the in-memory pipeline (the ISSUE-4 acceptance bar).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -285,6 +289,70 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
   for (auto& th : threads) th.join();
   EXPECT_GE(src.max_concurrent_reads(), 2)
       << "8 threads of positioned reads never overlapped in 10s";
+}
+
+// Streaming a volume page by page keeps the process footprint flat: the
+// sampled VmRSS peak while decoding a volume 64x the size of one page
+// through PreadByteSource stays below half the decoded size. pread keeps
+// the file's page cache out of the process (mmap would map it in, and
+// VmRSS counts mapped cache pages even though they are reclaimable).
+TEST(TiffStream, StreamingLargeVolumeKeepsRssFlat) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer quarantine and shadow memory distort VmRSS";
+#endif
+  const auto vm_rss = []() -> std::uint64_t {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("VmRSS:", 0) == 0) {
+        return std::stoull(line.substr(6)) * 1024;  // "VmRSS:  123 kB"
+      }
+    }
+    return 0;
+  };
+  if (vm_rss() == 0) GTEST_SKIP() << "VmRSS is not readable here";
+
+  constexpr std::int64_t kPages = 64, kSide = 512;
+  constexpr std::uint64_t kDecoded = kPages * kSide * kSide * 2;  // 32 MiB
+  TempFile f("zen_flat_rss.tif");
+  {
+    // Smooth EM-like data, so Deflate + predictor compresses as it would
+    // on real FIB-SEM slices.
+    zi::VolumeU16 vol(kSide, kSide, kPages);
+    for (std::int64_t z = 0; z < kPages; ++z) {
+      auto px = vol.slice(z).pixels();
+      for (std::int64_t y = 0; y < kSide; ++y) {
+        for (std::int64_t x = 0; x < kSide; ++x) {
+          px[static_cast<std::size_t>(y * kSide + x)] = static_cast<std::uint16_t>(
+              (x * 13 + y * 7 + z * 101 + ((x * y) >> 6)) & 0x0FFF);
+        }
+      }
+    }
+    zio::TiffWriteOptions opt;
+    opt.format = zio::TiffFormat::kBigTiff;
+    opt.layout = zio::TiffLayout::kTiles;
+    opt.tile_width = 128;
+    opt.tile_height = 128;
+    opt.compression = zio::TiffCompression::kDeflate;
+    opt.predictor = 2;
+    zio::write_volume_tiff(f.path, vol, opt);
+  }  // the source volume is freed before the baseline sample
+
+  const std::uint64_t before = vm_rss();
+  std::uint64_t peak = before;
+  const zio::TiffVolumeReader reader = zio::TiffVolumeReader::open(
+      std::make_shared<zio::PreadByteSource>(f.path));
+  ASSERT_EQ(reader.pages(), kPages);
+  std::uint64_t checksum = 0;
+  for (std::int64_t p = 0; p < reader.pages(); ++p) {
+    const auto page = reader.read_page_u16(p);
+    checksum += page.at(kSide - 1, kSide - 1);
+    peak = std::max(peak, vm_rss());
+  }
+  EXPECT_GT(checksum, 0u);
+  EXPECT_LT(peak - before, kDecoded / 2)
+      << "peak RSS grew by " << (peak - before) << " bytes streaming a "
+      << kDecoded << "-byte volume";
 }
 
 // The request-level knob: from_file threads the TiffOpenOptions through

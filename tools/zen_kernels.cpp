@@ -1,8 +1,7 @@
 // zen_kernels — inspect and benchmark the tensor kernel backends.
 //
-//   zen_kernels                 CPU features, available backends (with
-//                               int8 kernel availability), active pick,
-//                               active precision
+//   zen_kernels                 CPU features, available backends, active
+//                               pick, active precision
 //   zen_kernels bench [N ...]   per-backend GFLOP/s for matmul / matmul_nt /
 //                               linear at the given square sizes, plus int8
 //                               GOP/s for the quantized matmul_nt next to its
@@ -77,7 +76,6 @@ int run_bench(const std::vector<std::int64_t>& sizes) {
   const std::string active = tensor::backend_name();
   for (const auto& backend : tensor::available_backends()) {
     if (!tensor::set_backend(backend)) continue;
-    const bool int8 = tensor::backend_supports_int8(backend);
     std::printf("backend %s\n", backend.c_str());
     for (const std::int64_t n : sizes) {
       const double fp32_nt = time_gflops("matmul_nt", n);
@@ -85,12 +83,9 @@ int run_bench(const std::vector<std::int64_t>& sizes) {
                   "GFLOP/s   linear %7.2f GFLOP/s",
                   static_cast<long long>(n), static_cast<long long>(n),
                   time_gflops("matmul", n), fp32_nt, time_gflops("linear", n));
-      if (int8) {
-        const double i8 = time_gops_int8(n);
-        std::printf("   int8 matmul_nt %7.2f GOP/s (%.2fx fp32)", i8,
-                    fp32_nt > 0.0 ? i8 / fp32_nt : 0.0);
-      }
-      std::printf("\n");
+      const double i8 = time_gops_int8(n);
+      std::printf("   int8 matmul_nt %7.2f GOP/s (%.2fx fp32)\n", i8,
+                  fp32_nt > 0.0 ? i8 / fp32_nt : 0.0);
     }
   }
   tensor::set_backend(active);
@@ -103,8 +98,7 @@ int main(int argc, char** argv) {
   std::printf("cpu features:       %s\n", tensor::cpu_feature_string().c_str());
   std::printf("available backends:");
   for (const auto& name : tensor::available_backends()) {
-    std::printf(" %s%s", name.c_str(),
-                tensor::backend_supports_int8(name) ? "(+int8)" : "");
+    std::printf(" %s", name.c_str());
   }
   std::printf("\n");
   const char* env = std::getenv("ZENESIS_KERNEL");

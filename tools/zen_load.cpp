@@ -3,21 +3,19 @@
 // Spins up an in-process SegmentService + net::Server, connects N
 // loopback clients spread across T tenants, pumps R requests per client
 // (repeating a small synthetic image pool, so the cache-hot path
-// dominates exactly like steady-state traffic), then writes the wire and
-// service latency distributions to a BENCH JSON:
+// dominates exactly like steady-state traffic), then prints the wire and
+// service latency distributions as a JSON report on stdout:
 //
 //   zen_load [--clients N] [--requests R] [--tenants T] [--size PX]
-//            [--out DIR]
 //
-// Defaults: 200 clients x 4 requests, 8 tenants, 24x24 slices,
-// out/BENCH_net.json. The soak *test* (tests/test_net_soak.cpp) asserts
-// correctness (byte-identity, zero sheds); this tool measures the same
-// topology and records the numbers.
+// Defaults: 200 clients x 4 requests, 8 tenants, 24x24 slices. The soak
+// *test* (tests/test_net_soak.cpp) asserts correctness (byte-identity,
+// zero sheds); this tool drives the same topology and reports the
+// numbers. End-to-end benchmark records come from zbench.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -37,13 +35,12 @@ struct Options {
   std::size_t requests = 4;   ///< per client
   std::uint32_t tenants = 8;
   std::int64_t size = 24;     ///< slice edge length in pixels
-  std::string out = "out";
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--clients N] [--requests R] [--tenants T] "
-               "[--size PX] [--out DIR]\n",
+               "[--size PX]\n",
                argv0);
   return 2;
 }
@@ -86,10 +83,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       opt.size = std::strtoll(v, nullptr, 10);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.out = v;
     } else {
       return usage(argv[0]);
     }
@@ -198,12 +191,8 @@ int main(int argc, char** argv) {
   rec.set("bytes_in", static_cast<std::int64_t>(ns.bytes_in));
   rec.set("bytes_out", static_cast<std::int64_t>(ns.bytes_out));
 
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out, ec);
-  const std::string path = opt.out + "/BENCH_net.json";
-  rec.write(path);
   std::printf("%s\n", rec.to_string(2).c_str());
-  std::printf("zen_load: wrote %s (%llu requests, %.1f req/s)\n", path.c_str(),
+  std::printf("zen_load: %llu requests, %.1f req/s\n",
               static_cast<unsigned long long>(total),
               total > 0 && wall_s > 0 ? static_cast<double>(total) / wall_s
                                       : 0.0);
